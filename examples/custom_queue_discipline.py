@@ -19,6 +19,7 @@ from repro.experiments.runner import build_dumbbell
 from repro.metrics import SliceGoodputCollector
 from repro.net.topology import Dumbbell, rtt_buffer_pkts
 from repro.queues.base import QueueDiscipline
+from repro.sim.observer import attach
 from repro.sim.simulator import Simulator
 from repro.workloads import spawn_bulk_flows
 
@@ -66,7 +67,7 @@ def run_choke() -> float:
     queue = ChokeQueue(rtt_buffer_pkts(CAPACITY, RTT, 500), sim.rng.stream("choke"))
     bell = Dumbbell(sim, CAPACITY, RTT, queue=queue)
     collector = SliceGoodputCollector(20.0)
-    bell.forward.add_delivery_tap(collector.observe)
+    attach(bell.forward, collector)
     flows = spawn_bulk_flows(bell, N_FLOWS, start_window=5.0, extra_rtt_max=0.1)
     sim.run(until=DURATION)
     return collector.mean_short_term_jain([f.flow_id for f in flows])

@@ -14,6 +14,7 @@ import itertools
 from repro.analysis import PacketTraceRecorder, build_timelines, slice_census
 from repro.core import AdmissionController, taq_report
 from repro.experiments.runner import build_dumbbell
+from repro.sim.observer import attach
 from repro.workloads import spawn_bulk_flows
 from repro.workloads.web import WebUser
 
@@ -28,7 +29,7 @@ def main() -> None:
     bench = build_dumbbell("taq", CAPACITY, rtt=RTT, seed=13,
                            admission=admission)
     recorder = PacketTraceRecorder()
-    bench.bell.forward.add_delivery_tap(recorder.observe)
+    attach(bench.bell.forward, recorder)
 
     # --- 2. Offer a pathological load ---------------------------------
     spawn_bulk_flows(bench.bell, 90, start_window=5.0, extra_rtt_max=0.1)

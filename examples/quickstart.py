@@ -13,6 +13,7 @@ from repro import Simulator, Dumbbell, DropTailQueue, TcpFlow
 from repro.core import TAQQueue
 from repro.metrics import SliceGoodputCollector
 from repro.net.topology import rtt_buffer_pkts
+from repro.sim.observer import attach
 
 CAPACITY = 600_000       # 600 Kbps bottleneck
 RTT = 0.2                # 200 ms propagation RTT
@@ -31,7 +32,7 @@ def run(queue_kind: str) -> dict:
         queue.install_reverse_tap(bell.reverse)  # two-way epoch estimation
 
     collector = SliceGoodputCollector(slice_seconds=20.0)
-    bell.forward.add_delivery_tap(collector.observe)
+    attach(bell.forward, collector)  # count every delivery
 
     starts = sim.rng.stream("starts")
     flows = [

@@ -6,7 +6,7 @@ examination in the pcap traces for these simulations, we find that over
 down...", §2.3).  This package provides the same workflow for the
 simulator:
 
-- :class:`~repro.analysis.trace.PacketTraceRecorder` — a link tap that
+- :class:`~repro.analysis.trace.PacketTraceRecorder` — an observer that
   records a compact per-packet trace (time, flow, kind, seq, size,
   retransmit bit), with optional JSONL persistence;
 - :mod:`~repro.analysis.flowview` — trace -> per-flow timelines:

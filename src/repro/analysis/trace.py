@@ -1,7 +1,9 @@
 """Packet trace recording (the simulator's pcap).
 
-A :class:`PacketTraceRecorder` is registered as a link tap (arrival or
-delivery side) and keeps one compact :class:`TraceRecord` per packet.
+A :class:`PacketTraceRecorder` is an observer (see
+:mod:`repro.sim.observer`): attached to a link it records every
+delivered packet, attached to a queue every dropped one, keeping one
+compact :class:`TraceRecord` per packet.
 Traces can be persisted as JSON-lines and reloaded, so an expensive run
 can be analyzed repeatedly.
 """
@@ -13,6 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, List, Optional, TextIO
 
 from repro.net.packet import Packet
+from repro.sim.observer import Observer
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,8 @@ class TraceRecord:
         )
 
 
-class PacketTraceRecorder:
-    """A link tap accumulating :class:`TraceRecord` entries.
+class PacketTraceRecorder(Observer):
+    """An observer accumulating :class:`TraceRecord` entries.
 
     Parameters
     ----------
@@ -57,8 +60,8 @@ class PacketTraceRecorder:
         Optional extra filter ``predicate(packet, now) -> bool``.
     limit:
         Hard cap on records kept (oldest kept; recording stops at the
-        cap and :attr:`truncated` is set, so an accidental tap on a busy
-        link cannot eat the heap).
+        cap and :attr:`truncated` is set, so an accidental recorder on a
+        busy link cannot eat the heap).
     """
 
     def __init__(
@@ -74,14 +77,17 @@ class PacketTraceRecorder:
         self.truncated = False
 
     def observe(self, packet: Packet, now: float) -> None:
-        """Tap callback: record *packet* as forwarded."""
+        """Record *packet* as forwarded."""
         self._observe(packet, now, dropped=False)
 
     def observe_drop(self, packet: Packet, now: float) -> None:
-        """Drop-observer callback (see
-        :meth:`repro.queues.base.QueueDiscipline.add_drop_observer`):
-        record *packet* flagged as dropped."""
+        """Record *packet* flagged as dropped."""
         self._observe(packet, now, dropped=True)
+
+    def on_deliver(self, link, packet: Packet, now: float) -> None:
+        self.observe(packet, now)
+
+    on_drop = observe_drop
 
     def _observe(self, packet: Packet, now: float, dropped: bool) -> None:
         if packet.kind not in self.kinds:

@@ -31,6 +31,7 @@ from repro.build.harness import (
     build_queue,
     build_simulation,
     manifest_payloads,
+    observe_scenario,
 )
 from repro.build.registries import (
     BACKENDS,
@@ -78,4 +79,5 @@ __all__ = [
     "load_builtins",
     "load_plugins",
     "manifest_payloads",
+    "observe_scenario",
 ]

@@ -3,7 +3,8 @@
 Each builder takes a :class:`repro.build.harness.TopologyContext`
 (simulator + the already-built queue + the link parameters) and returns
 an object with the dumbbell interface (``forward``/``reverse`` links,
-``pkt_size``, fair-share helpers).  Testbed and overlay are imported
+a ``links`` tuple of every link it owns, ``pkt_size``, fair-share
+helpers).  Testbed and overlay are imported
 lazily so a plain dumbbell run never pays for them.
 """
 

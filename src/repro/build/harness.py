@@ -23,11 +23,11 @@ from repro.build.registries import (
     load_plugins,
 )
 from repro.build.spec import ScenarioSpec, TopologySpec
-from repro.obs.spans import active_recorder, arm_spans
-from repro.perf.probe import active_probe, arm_scenario
 from repro.metrics import SliceGoodputCollector
 from repro.net.topology import rtt_buffer_pkts
+from repro.sim.observer import Observer, ambient, attach
 from repro.sim.simulator import Simulator
+from repro.tcp.sender import TCPSender
 
 
 @dataclass
@@ -187,7 +187,7 @@ def _assemble_packet(spec: ScenarioSpec) -> BuiltScenario:
     The assembly order is part of the contract (it fixes the RNG and
     event-scheduling order, which is what makes runs reproducible):
     simulator, queue, topology, TAQ reverse tap, collector, workloads
-    in list order.
+    in list order, then the ambient observers.
     """
     load_builtins()
     load_plugins(spec.plugins)
@@ -218,7 +218,7 @@ def _assemble_packet(spec: ScenarioSpec) -> BuiltScenario:
     built = BuiltScenario(
         spec=spec, sim=sim, topology=topology, queue=queue, collector=collector
     )
-    built.delivery_link.add_delivery_tap(collector.observe)
+    attach(built.delivery_link, collector)
     flows_spawned = 0
     for index, workload in enumerate(spec.workloads):
         context = WorkloadContext(
@@ -231,19 +231,30 @@ def _assemble_packet(spec: ScenarioSpec) -> BuiltScenario:
         group = WORKLOADS.create(workload.kind, context, **workload.params)
         built.groups.append(group)
         flows_spawned += len(group.flows)
-    probe = active_probe()
-    if probe is not None:
-        # Ambient profiling (``with repro.perf.profiled():``): arm the
-        # active probe across everything just built.  Probes only read
-        # the wall clock, so the simulated run stays bit-identical.
-        arm_scenario(probe, built)
-    recorder = active_recorder()
-    if recorder is not None:
-        # Ambient span tracing (``with repro.obs.spans.recording():``):
-        # arm the flight recorder the same way.  Recorders only append
-        # to their own span list, so the run stays bit-identical.
-        arm_spans(recorder, built)
+    # Ambient observers (``profiled()``, ``recording()``): observers
+    # never touch what they watch, so the run stays bit-identical.
+    for observer in ambient():
+        observe_scenario(built, observer)
     return built
+
+
+def observe_scenario(built: BuiltScenario, observer: Observer) -> None:
+    """Attach *observer* to every packet-path component of *built*: the
+    simulator and its event queue, every link the topology owns with its
+    queue (and TAQ's flow tracker), and the senders of all TCP flows
+    spawned so far — senders created later inherit the simulator's
+    observer."""
+    attach(built.sim, observer)
+    attach(built.sim.events, observer)
+    for link in built.topology.links:
+        attach(link, observer)
+        attach(link.queue, observer)
+        tracker = getattr(link.queue, "tracker", None)
+        if tracker is not None:
+            attach(tracker, observer)
+    for flow in built.all_flows():
+        if isinstance(flow.sender, TCPSender):
+            attach(flow.sender, observer)
 
 
 def manifest_payloads(spec: ScenarioSpec) -> Dict[str, Dict[str, Any]]:

@@ -1,13 +1,14 @@
 """Runtime invariant monitors for the simulator's conservation and
 protocol-legality guarantees.
 
-Every monitor is a *passive observer*: it attaches through the hooks the
-components already expose (link taps, queue drop observers, the
-``Simulator.monitor`` slot, instance-level wrapping of ``receive``) and
-never schedules events, draws randomness, or mutates component state —
-so an armed run pops exactly the same events in exactly the same order
-as an unarmed one, and a run without monitors executes the
-pre-instrumentation code path untouched.
+Every monitor is a *passive observer*: a
+:class:`~repro.sim.observer.Observer` attached to the components'
+``observer`` slots (the suite relays the event queue's pops; the TCP
+monitor alone wraps each sender's ``receive`` per instance).  Monitors
+never schedule events, draw randomness, or mutate component state — so
+an armed run pops exactly the same events in exactly the same order as
+an unarmed one, and a run without monitors executes the uninstrumented
+code path untouched.
 
 The invariants, stated as the conservation equations each monitor
 checks (see ``docs/invariants.md`` for the full catalogue):
@@ -38,9 +39,10 @@ shrunk instead of aborting the campaign).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.net.packet import ACK
+from repro.sim.observer import Observer, attach
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.net.link import Link
@@ -79,10 +81,12 @@ class Violation:
         }
 
 
-class Monitor:
-    """Base class: violation recording plus the observer interface."""
+class Monitor(Observer):
+    """Base class: violation recording plus the per-event interface."""
 
     name = "monitor"
+    #: Components whose ``observer`` slot holds this monitor.
+    watched: Tuple[Any, ...] = ()
 
     def __init__(self, mode: str = "raise") -> None:
         if mode not in ("raise", "collect"):
@@ -96,7 +100,7 @@ class Monitor:
         if self.mode == "raise":
             raise InvariantViolation(self.name, message, context, time)
 
-    # -- observer interface (all optional) ------------------------------
+    # -- per-event interface (all optional) -----------------------------
     def on_event(self, event: "Event", now: float) -> None:
         """Called between events (before the clock advances)."""
 
@@ -136,10 +140,10 @@ class LinkConservationMonitor(Monitor):
     """Packet conservation on one link: every arrival is dropped,
     resident in the queue, or has been handed to the transmitter.
 
-    The ledger is kept from the link's own passive hooks (arrival tap,
-    queue drop observers, transmit tap, delivery tap), so a component
-    that loses a packet without recording a drop unbalances the books
-    at the very next event boundary::
+    The ledger is kept from the link's and its queue's lifecycle calls
+    (arrive, drop, tx_start, deliver), so a component that loses a
+    packet without recording a drop unbalances the books at the very
+    next event boundary::
 
         arrived == dropped + len(queue) + transmitted     (every event)
         transmitted >= delivered                          (wire >= 0)
@@ -156,22 +160,21 @@ class LinkConservationMonitor(Monitor):
         self.dropped = 0
         self.transmitted = 0
         self.delivered = 0
-        link.add_tap(self._on_arrival)
-        link.add_transmit_tap(self._on_transmit)
-        link.add_delivery_tap(self._on_delivery)
-        link.queue.add_drop_observer(self._on_drop)
+        self.watched = (link, link.queue)
+        for component in self.watched:
+            attach(component, self)
 
     # -- ledger ---------------------------------------------------------
-    def _on_arrival(self, packet, now: float) -> None:
+    def on_arrive(self, link, packet, now: float) -> None:
         self.arrived += 1
 
-    def _on_drop(self, packet, now: float) -> None:
+    def on_drop(self, packet, now: float) -> None:
         self.dropped += 1
 
-    def _on_transmit(self, packet, now: float) -> None:
+    def on_tx_start(self, link, packet, now: float) -> None:
         self.transmitted += 1
 
-    def _on_delivery(self, packet, now: float) -> None:
+    def on_deliver(self, link, packet, now: float) -> None:
         self.delivered += 1
 
     # -- checks ---------------------------------------------------------

@@ -149,9 +149,9 @@ def instrument_point(
 ):
     """Wire a :class:`repro.obs.Telemetry` bundle onto one sweep point.
 
-    Attaches the gauge sampler, the queue drop tap (plus TAQ internals
-    when *queue* is a TAQ), the bottleneck link gauges, and per-flow
-    sender probes.  The bundle lands in ``telemetry_dir/run_id/`` at
+    Attaches the gauge sampler, the queue's drop events (plus TAQ
+    internals when *queue* is a TAQ), the bottleneck link gauges, and
+    per-flow sender events.  The bundle lands in ``telemetry_dir/run_id/`` at
     finalize time (see :func:`telemetry_payload`).
     """
     from repro.obs import (

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.net.packet import DATA, Packet
+from repro.sim.observer import Observer
 
 
 def jain_index(allocations: Sequence[float]) -> float:
@@ -37,12 +38,12 @@ def jain_index(allocations: Sequence[float]) -> float:
     return (total * total) / (n * squares)
 
 
-class SliceGoodputCollector:
+class SliceGoodputCollector(Observer):
     """Accumulates per-slice, per-flow delivered bytes at the bottleneck.
 
-    Register :meth:`observe` as a delivery tap on the bottleneck link
-    (``link.add_delivery_tap(collector.observe)``); it ignores
-    everything but DATA packets.
+    Attach it to the link where receivers get their data
+    (``attach(link, collector)``); every delivery goes to
+    :meth:`observe`, which ignores everything but DATA packets.
 
     Parameters
     ----------
@@ -59,8 +60,11 @@ class SliceGoodputCollector:
         self.flow_ids: set = set()
 
     # ------------------------------------------------------------------
+    def on_deliver(self, link, packet: Packet, now: float) -> None:
+        self.observe(packet, now)
+
     def observe(self, packet: Packet, now: float) -> None:
-        """Delivery-tap callback."""
+        """Count one delivered packet."""
         if packet.kind != DATA:
             return
         index = int(now / self.slice_seconds)

@@ -20,13 +20,11 @@ schedules more than one pending wakeup at a time.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.net.packet import Packet
 from repro.queues.base import QueueDiscipline
 from repro.sim.simulator import Simulator
-
-Tap = Callable[[Packet, float], None]
 
 
 class LinkStats:
@@ -149,18 +147,9 @@ class Link:
         self._free_at = 0.0
         self._wakeup_armed = False
         self.next_link = next_link
-        #: Optional performance probe (``repro.perf``): counts dequeues
-        #: and deliveries on this link.  None (the default) keeps the
-        #: data path uninstrumented.
-        self.perf = None
-        #: Optional span recorder (``repro.obs.spans``): records each
-        #: packet's enqueue / tx-start / delivery lifecycle stages on
-        #: this link.  None (the default) keeps the data path
-        #: uninstrumented.
-        self.spans = None
-        self._taps: List[Tap] = []
-        self._transmit_taps: List[Tap] = []
-        self._delivery_taps: List[Tap] = []
+        #: Optional :class:`repro.sim.observer.Observer`: told of every
+        #: arrival, accepted enqueue, transmission start and delivery.
+        self.observer = None
         queue.attach(self)
         # Precomputed discipline dispatch: the queue is fixed for the
         # link's lifetime, so the per-packet path calls these bound
@@ -168,29 +157,6 @@ class Link:
         self._q_enqueue = queue.enqueue
         self._q_dequeue = queue.dequeue
         self._q_len = queue.__len__
-
-    # ------------------------------------------------------------------
-    # Taps: passive observers of traffic entering the link (e.g. the TAQ
-    # tracker watching the reverse ACK path).
-    # ------------------------------------------------------------------
-    def add_tap(self, tap: Tap) -> None:
-        """Register *tap(packet, now)*, called for every arriving packet
-        (before the queue gets a chance to drop it)."""
-        self._taps.append(tap)
-
-    def add_transmit_tap(self, tap: Tap) -> None:
-        """Register *tap(packet, now)*, called when a packet leaves the
-        queue and starts serializing — the dequeue-side counterpart of
-        :meth:`add_tap`, which conservation monitors (``repro.check``)
-        pair with arrival taps and drop observers to balance the books
-        of each queue exactly."""
-        self._transmit_taps.append(tap)
-
-    def add_delivery_tap(self, tap: Tap) -> None:
-        """Register *tap(packet, now)*, called for every packet actually
-        delivered out the far end (post-queue, post-propagation) —
-        what per-flow goodput metrics measure."""
-        self._delivery_taps.append(tap)
 
     # ------------------------------------------------------------------
     # Data path
@@ -205,14 +171,15 @@ class Link:
         """Offer *packet* to the link.  Returns False if the queue dropped it."""
         now = self.sim.now
         self.stats.arrived += 1
-        for tap in self._taps:
-            tap(packet, now)
+        observer = self.observer
+        if observer is not None:
+            observer.on_arrive(self, packet, now)
         packet.enqueued_at = now
         if not self._q_enqueue(packet, now):
             self.stats.dropped += 1
             return False
-        if self.spans is not None:
-            self.spans.on_enqueue(packet, now, self.name)
+        if observer is not None:
+            observer.on_enqueue(self, packet, now)
         if self._wakeup_armed:
             return True
         if now < self._free_at:
@@ -233,12 +200,8 @@ class Link:
         if packet is None:
             return
         self.stats.note_queue_delay(now - packet.enqueued_at)
-        if self.perf is not None:
-            self.perf.packets_dequeued += 1
-        if self.spans is not None:
-            self.spans.on_tx_start(packet, now, self.name)
-        for tap in self._transmit_taps:
-            tap(packet, now)
+        if self.observer is not None:
+            self.observer.on_tx_start(self, packet, now)
         tx_time = packet.tx_bits / self.capacity_bps
         self.stats.busy_time += tx_time
         end = now + tx_time
@@ -263,13 +226,8 @@ class Link:
     def _deliver(self, packet: Packet) -> None:
         self.stats.delivered += 1
         self.stats.bytes_delivered += packet.size
-        if self.perf is not None:
-            self.perf.packets_delivered += 1
-        for tap in self._delivery_taps:
-            tap(packet, self.sim.now)
-        if self.spans is not None:
-            self.spans.on_delivered(packet, self.sim.now,
-                                    last=self.next_link is None)
+        if self.observer is not None:
+            self.observer.on_deliver(self, packet, self.sim.now)
         if self.next_link is not None:
             # Chained hop (e.g. LAN ingress feeding the bottleneck).
             self.next_link.send(packet)

@@ -91,6 +91,8 @@ class Dumbbell:
         # hops by pointing these at its ingress links.
         self.data_entry = self.forward
         self.ack_entry = self.reverse
+        #: Every link this topology owns (what observers walk).
+        self.links = (self.forward, self.reverse)
 
     # ------------------------------------------------------------------
     def data_path(self) -> Link:

@@ -1,11 +1,11 @@
 """The metrics registry: named counters, gauges and histograms.
 
 Components never import this module — instrumentation attaches from the
-outside (drop observers, link taps, probe attributes that default to
-``None``), so a run without telemetry executes exactly the code it
+outside (observers in ``observer`` slots that default to ``None``),
+so a run without telemetry executes exactly the code it
 executed before the registry existed.  The registry is the *sink*: the
 :class:`~repro.obs.sampler.Sampler` snapshots gauges on the simulation
-clock, event probes bump counters, and :meth:`MetricsRegistry.to_jsonl`
+clock, observed events bump counters, and :meth:`MetricsRegistry.to_jsonl`
 persists everything as schema-versioned JSON lines.
 
 Naming convention: dotted lowercase paths, most general component

@@ -39,15 +39,15 @@ Span kinds
 ``run``
     One per ``Simulator.run`` call (timeline bounds).
 
-Arming follows the repo's ``probe = None`` slot convention (PRs 2/4/5):
-components carry a ``spans`` attribute defaulting to ``None`` and every
-hook site reads ``if self.spans is not None``, so a disarmed run
-executes exactly the pre-instrumentation code path and stays
-bit-identical.  Arm explicitly with :func:`arm_spans`, or ambiently::
+A :class:`SpanRecorder` is an :class:`~repro.sim.observer.Observer`:
+it sits in the components' ``observer`` slots, each hook site makes a
+single ``is None`` test, so an unobserved run executes the
+uninstrumented code path and stays bit-identical.  Attach it
+explicitly with :func:`repro.build.observe_scenario`, or ambiently::
 
     with recording() as recorder:
-        built = build_simulation(spec)   # links/queues/sim armed here
-        built.run()                      # flows arm themselves on spawn
+        built = build_simulation(spec)   # sim/links/queues/senders observed
+        built.run()                      # senders spawned mid-run inherit it
     save_spans(recorder.spans, handle)
 
 The on-disk format is schema-versioned JSON lines (one span per line,
@@ -58,7 +58,9 @@ unknown kinds/fields, and refuse files newer than they understand.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, TextIO
+from typing import Any, ContextManager, Dict, Iterable, List, Optional, TextIO
+
+from repro.sim.observer import Observer, innermost, observing
 
 #: Bump when the span layout changes incompatibly.
 SPANS_SCHEMA_VERSION = 1
@@ -73,7 +75,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "active_recorder",
-    "arm_spans",
     "load_spans",
     "recording",
     "save_spans",
@@ -168,8 +169,8 @@ class Span:
         return f"<Span #{self.id} {self.kind} flow={self.flow_id} {self.t0:.4f}..{end}>"
 
 
-class SpanRecorder:
-    """The flight recorder: builds spans from component hook calls.
+class SpanRecorder(Observer):
+    """The flight recorder: builds spans from component lifecycle calls.
 
     Bounded memory: at most ``limit`` spans are created (``truncated``
     is set past it); stage appends on already-created spans continue,
@@ -203,6 +204,8 @@ class SpanRecorder:
         self._last_syn: Dict[int, int] = {}
         #: flow -> time of the last in-order data delivery (hang gaps).
         self._last_delivery: Dict[int, float] = {}
+        #: The open ``run`` spans, innermost last.
+        self._runs: List[Optional[Span]] = []
 
     # ------------------------------------------------------------------
     # Span construction
@@ -247,9 +250,9 @@ class SpanRecorder:
         return span
 
     # ------------------------------------------------------------------
-    # Sender hooks (TCPSender.spans)
+    # Sender calls
     # ------------------------------------------------------------------
-    def on_packet_sent(self, packet, now: float) -> None:
+    def on_sent(self, packet, now: float) -> None:
         """A sender put *packet* on the data path (SYN, DATA, FIN)."""
         flow_id = packet.flow_id
         flow = self._flow_span(flow_id, now)
@@ -298,7 +301,7 @@ class SpanRecorder:
                 span.fields["refused"] = True
 
     def on_rto(self, flow_id: int, now: float, backoff: int, rto: float,
-               seq: int = -1) -> None:
+               seq: int) -> None:
         """A retransmission timeout fired; the stall spans the silence
         since the flow's last packet activity."""
         idle_since = self._last_activity.get(flow_id, now)
@@ -318,7 +321,7 @@ class SpanRecorder:
             span.close(now)
             self._recovery[flow_id] = span.id
 
-    def on_fast_retransmit(self, flow_id: int, now: float, seq: int = -1) -> None:
+    def on_fast_retransmit(self, flow_id: int, now: float, seq: int) -> None:
         flow = self._flow_span(flow_id, now)
         cause = self._last_drop.get((flow_id, seq), -1)
         if cause == -1:
@@ -354,23 +357,24 @@ class SpanRecorder:
         self._last_flow_drop.pop(flow_id, None)
 
     # ------------------------------------------------------------------
-    # Link hooks (Link.spans)
+    # Link calls
     # ------------------------------------------------------------------
-    def on_enqueue(self, packet, now: float, link: str) -> None:
+    def on_enqueue(self, link, packet, now: float) -> None:
         span = self._pkt_for(packet, now)
         if span is not None:
-            span.stage("enq", now, link)
+            span.stage("enq", now, link.name)
 
-    def on_tx_start(self, packet, now: float, link: str) -> None:
+    def on_tx_start(self, link, packet, now: float) -> None:
         span = self._pkt_for(packet, now)
         if span is not None:
-            span.stage("tx", now, link)
+            span.stage("tx", now, link.name)
         if self.stream is not None:
             self.stream.observe_queue_delay(
                 packet.flow_id, now - packet.enqueued_at
             )
 
-    def on_delivered(self, packet, now: float, last: bool) -> None:
+    def on_deliver(self, link, packet, now: float) -> None:
+        last = link.next_link is None
         span = self._pkt_for(packet, now)
         if span is not None:
             span.stage("deliv" if last else "hop", now)
@@ -386,7 +390,7 @@ class SpanRecorder:
                 self._last_delivery[flow_id] = now
 
     # ------------------------------------------------------------------
-    # Queue hooks (QueueDiscipline.spans / TAQQueue.spans)
+    # Queue calls
     # ------------------------------------------------------------------
     def on_drop(self, packet, now: float) -> None:
         """The queue rejected or evicted *packet* (all disciplines)."""
@@ -400,15 +404,14 @@ class SpanRecorder:
         self._last_drop[(flow_id, packet.seq)] = span.id
         self._last_flow_drop[flow_id] = span.id
 
-    def on_admission_refused(self, packet, now: float) -> None:
-        """TAQ admission control refused this SYN (the drop hook fires
-        right after; the flag is what tells a syn_wait from congestion
-        loss)."""
+    def on_refuse(self, packet, now: float) -> None:
+        """TAQ admission control refused this SYN (``on_drop`` follows;
+        the flag is what tells a syn_wait from congestion loss)."""
         span = self._pkt_for(packet, now)
         if span is not None:
             span.fields["refused"] = True
 
-    def on_penalized(self, packet, now: float, recent_drops: int) -> None:
+    def on_penalize(self, packet, now: float, recent_drops: int) -> None:
         flow = self._flow_span(packet.flow_id, now)
         span = self._new_span(
             "penalty", packet.flow_id, now,
@@ -419,20 +422,21 @@ class SpanRecorder:
         if span is not None:
             span.close(now)
 
-    def on_evicted(self, evicted, by_packet, now: float) -> None:
-        """TAQ pushed *evicted* out to admit *by_packet* (the drop hook
+    def on_evict(self, evicted, packet, now: float) -> None:
+        """TAQ pushed *evicted* out to admit *packet* (``on_drop``
         follows and closes the span)."""
         span = self._pkt_for(evicted, now)
         if span is not None:
-            span.fields["evicted_by"] = by_packet.flow_id
+            span.fields["evicted_by"] = packet.flow_id
 
     # ------------------------------------------------------------------
-    # Simulator hooks (Simulator.spans)
+    # Simulator calls
     # ------------------------------------------------------------------
-    def on_run_start(self, now: float) -> Optional[Span]:
-        return self._new_span("run", -1, now)
+    def on_run_start(self, now: float) -> None:
+        self._runs.append(self._new_span("run", -1, now))
 
-    def on_run_end(self, span: Optional[Span], now: float) -> None:
+    def on_run_end(self, now: float) -> None:
+        span = self._runs.pop()
         if span is not None:
             span.close(now)
 
@@ -509,62 +513,15 @@ def load_spans(handle: TextIO) -> List[Span]:
 
 
 # ----------------------------------------------------------------------
-# Arming
+# The ambient recorder
 # ----------------------------------------------------------------------
-#: Topology attributes that may hold links (mirrors repro.perf.probe).
-_TOPOLOGY_LINKS = ("forward", "reverse", "underlay", "underlay_reverse", "overlay")
-
-
-def arm_spans(recorder: SpanRecorder, built: Any) -> None:
-    """Arm *recorder* across one :class:`repro.build.BuiltScenario`:
-    simulator, bottleneck queue, every topology link, and the senders of
-    all flows spawned so far.  Flows created *during* the run (web
-    sessions) arm themselves when an ambient recorder is active — see
-    :func:`recording`."""
-    built.sim.spans = recorder
-    built.queue.spans = recorder
-    seen = set()
-    for attr in _TOPOLOGY_LINKS:
-        link = getattr(built.topology, attr, None)
-        if link is not None and id(link) not in seen and hasattr(link, "queue"):
-            seen.add(id(link))
-            link.spans = recorder
-            if link.queue is not None:
-                link.queue.spans = recorder
-    for flow in built.all_flows():
-        flow.sender.spans = recorder
-
-
-_ACTIVE: Optional[SpanRecorder] = None
-
-
 def active_recorder() -> Optional[SpanRecorder]:
-    """The recorder armed by the innermost :func:`recording`, or None."""
-    return _ACTIVE
+    """The recorder pushed by the innermost :func:`recording`, or None."""
+    return innermost(SpanRecorder)
 
 
-class _Recording:
-    """Context manager making one recorder ambient (see :func:`recording`)."""
-
-    __slots__ = ("recorder", "_previous")
-
-    def __init__(self, recorder: Optional[SpanRecorder]) -> None:
-        self.recorder = recorder if recorder is not None else SpanRecorder()
-        self._previous: Optional[SpanRecorder] = None
-
-    def __enter__(self) -> SpanRecorder:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self.recorder
-        return self.recorder
-
-    def __exit__(self, *exc_info: Any) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
-
-
-def recording(recorder: Optional[SpanRecorder] = None) -> _Recording:
+def recording(recorder: Optional[SpanRecorder] = None) -> ContextManager[SpanRecorder]:
     """``with recording() as recorder:`` — every simulation built inside
     the block (via :func:`repro.build.build_simulation`) records spans
     into *recorder*, including flows spawned mid-run."""
-    return _Recording(recorder)
+    return observing(recorder if recorder is not None else SpanRecorder())

@@ -5,10 +5,11 @@ produces — a :class:`~repro.obs.metrics.MetricsRegistry`, an
 :class:`~repro.obs.trace.EventTrace` and (after :meth:`finalize`) a
 :class:`~repro.obs.manifest.RunManifest` — plus the
 :class:`~repro.obs.sampler.Sampler` that snapshots gauges on the sim
-clock.  The ``instrument_*`` helpers attach probes to the existing
-component hooks (drop observers, ``probe`` attributes, completion
-callbacks); a run without a Telemetry object executes exactly the
-pre-instrumentation code path, which is the zero-overhead-when-disabled
+clock.  A Telemetry is itself an :class:`~repro.sim.observer.Observer`
+that turns lifecycle calls into structured events; the ``instrument_*``
+helpers attach it to component ``observer`` slots and completion
+callbacks.  A run without a Telemetry object executes exactly the
+uninstrumented code path, which is the zero-overhead-when-disabled
 guarantee.
 
 Usage::
@@ -39,6 +40,7 @@ from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import Sampler
 from repro.obs.trace import EventTrace, save_events, summarize_events
+from repro.sim.observer import Observer, attach
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.net.link import Link
@@ -52,7 +54,7 @@ EVENTS_NAME = "events.jsonl"
 SPANS_NAME = "spans.jsonl"
 
 
-class Telemetry:
+class Telemetry(Observer):
     """Metrics + trace + sampler + manifest for one run.
 
     Parameters
@@ -89,13 +91,45 @@ class Telemetry:
         self._finalizers: List[Callable[[], None]] = []
         self._wall_start = _time.perf_counter()
 
-    # ------------------------------------------------------------------
-    # Probe-facing API (what component ``probe`` attributes call)
-    # ------------------------------------------------------------------
     def emit(self, kind: str, time: float, flow_id: int = -1, **fields: Any) -> None:
         """Record one structured event and bump its per-kind counter."""
         self.trace.emit(kind, time, flow_id, **fields)
         self.registry.counter(f"event.{kind}").inc()
+
+    # ------------------------------------------------------------------
+    # Observer calls: lifecycle -> structured events
+    # ------------------------------------------------------------------
+    def on_drop(self, packet, now: float) -> None:
+        self.emit("drop", now, flow_id=packet.flow_id, pkt=packet.kind, seq=packet.seq)
+
+    def on_refuse(self, packet, now: float) -> None:
+        self.emit("taq_refused", now, flow_id=packet.flow_id, pool=packet.pool_id)
+
+    def on_penalize(self, packet, now: float, recent_drops: int) -> None:
+        self.emit("taq_penalty_box", now, flow_id=packet.flow_id,
+                  recent_drops=recent_drops)
+
+    def on_evict(self, evicted, packet, now: float) -> None:
+        self.emit("taq_evict", now, flow_id=evicted.flow_id,
+                  by_flow=packet.flow_id, seq=evicted.seq)
+
+    def on_state_change(self, flow_id: int, time: float, prev, state) -> None:
+        self.emit("flow_state", time, flow_id=flow_id, prev=prev.value, next=state.value)
+
+    def on_sent(self, packet, now: float) -> None:
+        if packet.is_retransmit:
+            self.emit("retransmit", now, flow_id=packet.flow_id, seq=packet.seq)
+
+    def on_syn_retry(self, flow_id: int, now: float, attempt: int,
+                     waited: float) -> None:
+        self.emit("syn_retry", now, flow_id=flow_id, attempt=attempt)
+
+    def on_fast_retransmit(self, flow_id: int, now: float, seq: int) -> None:
+        self.emit("fast_retransmit", now, flow_id=flow_id, seq=seq)
+
+    def on_rto(self, flow_id: int, now: float, backoff: int, rto: float,
+               seq: int) -> None:
+        self.emit("rto", now, flow_id=flow_id, backoff=backoff, rto=rto, snd_una=seq)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -185,7 +219,7 @@ class Telemetry:
 
 
 # ----------------------------------------------------------------------
-# Instrumentation helpers: attach probes to existing component hooks.
+# Instrumentation helpers: attach the telemetry to components.
 # ----------------------------------------------------------------------
 def instrument_link(telemetry: Telemetry, link: "Link", name: str = "link") -> None:
     """Gauges for queue depth and in-flight packets, plus final link
@@ -217,13 +251,7 @@ def instrument_queue(
     (tracker table, per-class occupancy, admission) when available."""
     registry = telemetry.registry
     registry.gauge(f"{name}.depth", lambda: float(len(queue)))
-
-    def on_drop(packet, now: float) -> None:
-        telemetry.emit(
-            "drop", now, flow_id=packet.flow_id, pkt=packet.kind, seq=packet.seq
-        )
-
-    queue.add_drop_observer(on_drop)
+    attach(queue, telemetry)
 
     def import_totals() -> None:
         registry.set_counter(f"{name}.enqueued", queue.enqueued)
@@ -235,8 +263,7 @@ def instrument_queue(
     tracker = getattr(queue, "tracker", None)
     scheduler = getattr(queue, "scheduler", None)
     if tracker is not None:
-        queue.probe = telemetry
-        tracker.probe = telemetry
+        attach(tracker, telemetry)
         registry.gauge("taq.tracked_flows", lambda: float(len(tracker.flows)))
     if scheduler is not None:
         for klass in scheduler.stats:
@@ -269,7 +296,7 @@ def instrument_flow(
 ) -> None:
     """Sender events (RTOs, retransmits) and optionally a per-flow cwnd
     gauge (opt-in: hundreds of per-flow series drown a sweep bundle)."""
-    flow.sender.probe = telemetry
+    attach(flow.sender, telemetry)
     if cwnd_gauge:
         sender = flow.sender
         telemetry.registry.gauge(

@@ -141,6 +141,8 @@ class OverlayDumbbell:
         )
         self.data_entry = self.forward
         self.ack_entry = self.reverse
+        #: Every link this topology owns (what observers walk).
+        self.links = (self.forward, self.underlay, self.underlay_reverse, self.reverse)
 
     # -- Dumbbell-compatible surface -----------------------------------
     def fair_share_bps(self, n_flows: int) -> float:

@@ -3,7 +3,7 @@
 Three layers:
 
 - :mod:`repro.perf.probe` — :class:`PerfProbe`: hot-path counters and
-  wall-clock spans, armed through the ``perf = None`` slot convention
+  wall-clock spans, an observer on the components' ``observer`` slots
   (zero overhead when off; armed runs stay bit-identical).
 - :mod:`repro.perf.bench` / :mod:`repro.perf.suite` — the deterministic
   benchmark suite and the schema-versioned ``BENCH_*.json`` document it
@@ -37,9 +37,6 @@ from repro.perf.probe import (
     PerfProbe,
     SpanStats,
     active_probe,
-    arm_link,
-    arm_scenario,
-    arm_simulator,
     peak_rss_bytes,
     profiled,
 )
@@ -54,9 +51,6 @@ __all__ = [
     "PerfProbe",
     "SpanStats",
     "active_probe",
-    "arm_link",
-    "arm_scenario",
-    "arm_simulator",
     "bench_document",
     "benchmark",
     "get_benchmark",

@@ -1,25 +1,25 @@
 """The performance probe: hot-path counters and wall-clock spans.
 
 ``repro.obs`` sees *what the simulation did*; this module sees *where
-the wall-clock time goes*.  A :class:`PerfProbe` is armed onto
-components through the same ``perf = None`` slot convention that
-``repro.obs`` uses for ``probe`` and ``repro.check`` uses for
-``monitor``: every hook site reads ``if self.perf is not None`` and an
-unarmed run executes exactly the pre-instrumentation code path, so
-profiling-off runs stay bit-identical (regression-tested against the
-recorded goldens).
+the wall-clock time goes*.  A :class:`PerfProbe` is an
+:class:`~repro.sim.observer.Observer`: it sits in the components'
+``observer`` slots like every other instrument, each hook site makes a
+single ``is None`` test, and an unobserved run executes the
+uninstrumented code path, so profiling-off runs stay bit-identical
+(regression-tested against the recorded goldens).
 
 Two kinds of instrument:
 
-- **Hot-path counters** are plain integer attributes bumped inline
-  (``perf.callbacks_dispatched += 1``) — no dict lookup, no string
-  formatting on the data path.  The catalogue: events popped off the
-  heap, cancelled events discarded, callbacks dispatched, packets
-  enqueued/dequeued/dropped/delivered, result-cache hits/misses.
-  Everything else goes through :meth:`PerfProbe.count`, a named-counter
-  dict for colder paths (TAQ evictions, per-benchmark phases, and the
-  per-backend result-store split ``parallel.cache.<kind>.hits`` /
-  ``.misses`` where ``<kind>`` is ``dir``, ``sqlite``, or ``http``).
+- **Hot-path counters** are plain integer attributes bumped by the
+  lifecycle calls (``on_event_pop`` bumps ``events_popped``) — no dict
+  lookup, no string formatting on the data path.  The catalogue:
+  events popped off the wheel, cancelled events discarded, callbacks
+  dispatched, packets enqueued/dequeued/dropped/delivered, result-cache
+  hits/misses.  Everything else goes through :meth:`PerfProbe.count`,
+  a named-counter dict for colder paths (TAQ evictions, per-benchmark
+  phases, and the per-backend result-store split
+  ``parallel.cache.<kind>.hits`` / ``.misses`` where ``<kind>`` is
+  ``dir``, ``sqlite``, or ``http``).
 - **Spans** measure wall time around coarse phases (``sim.run``,
   ``parallel.point``, benchmark build/run phases) via
   ``with probe.span("name"):`` — per-span call count, total and max
@@ -29,9 +29,10 @@ Because probes only *read* the wall clock, an armed run schedules and
 fires exactly the same simulated event sequence as an unarmed one —
 the bit-identity contract ``tests/perf/test_bit_identical.py`` pins.
 
-Arming is either explicit (:func:`arm_simulator` / :func:`arm_link` /
-:func:`arm_scenario`) or ambient: ``with profiled() as probe:`` makes
-*probe* the active probe and :func:`repro.build.build_simulation`
+Attach a probe explicitly (:func:`repro.sim.observer.attach`, or
+:func:`repro.build.observe_scenario` for a whole built scenario) or
+ambiently: ``with profiled() as probe:`` pushes *probe* onto the
+ambient observer stack and :func:`repro.build.build_simulation`
 attaches it to everything it constructs, so whole experiments can be
 profiled without touching their code.
 """
@@ -40,15 +41,14 @@ from __future__ import annotations
 
 import sys
 from time import perf_counter
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, ContextManager, Dict, Iterator, List, Optional
+
+from repro.sim.observer import Observer, innermost, observing
 
 __all__ = [
     "PerfProbe",
     "SpanStats",
     "active_probe",
-    "arm_link",
-    "arm_scenario",
-    "arm_simulator",
     "peak_rss_bytes",
     "profiled",
 ]
@@ -93,11 +93,11 @@ class _SpanTimer:
         self._stats.add(perf_counter() - self._t0)
 
 
-class PerfProbe:
+class PerfProbe(Observer):
     """Hot-path counters plus named wall-clock spans for one run.
 
-    The integer attributes are the hot counters — hook sites bump them
-    directly.  :meth:`summary` folds them into the named-counter dict
+    The integer attributes are the hot counters — the lifecycle calls
+    bump them directly.  :meth:`summary` folds them into the named-counter dict
     under their dotted catalogue names (``sim.events_popped``,
     ``net.packets_dropped``, ...) so consumers see one flat namespace.
     """
@@ -114,6 +114,7 @@ class PerfProbe:
         "cache_misses",
         "counters",
         "spans",
+        "_run_started",
     )
 
     #: attribute -> catalogue name used by :meth:`summary`.
@@ -141,6 +142,37 @@ class PerfProbe:
         self.cache_misses = 0
         self.counters: Dict[str, int] = {}
         self.spans: Dict[str, SpanStats] = {}
+        self._run_started: List[float] = []
+
+    # -- observer calls -------------------------------------------------
+    def on_event_pop(self, event) -> None:
+        # The run loop dispatches every event it pops.
+        self.events_popped += 1
+        self.callbacks_dispatched += 1
+
+    def on_event_cancel(self, event) -> None:
+        self.heap_discards += 1
+
+    def on_run_start(self, now: float) -> None:
+        self._run_started.append(perf_counter())
+
+    def on_run_end(self, now: float) -> None:
+        self._stats("sim.run").add(perf_counter() - self._run_started.pop())
+
+    def on_enqueue(self, link, packet, now: float) -> None:
+        self.packets_enqueued += 1
+
+    def on_tx_start(self, link, packet, now: float) -> None:
+        self.packets_dequeued += 1
+
+    def on_deliver(self, link, packet, now: float) -> None:
+        self.packets_delivered += 1
+
+    def on_drop(self, packet, now: float) -> None:
+        self.packets_dropped += 1
+
+    def on_evict(self, evicted, packet, now: float) -> None:
+        self.count("taq.evictions")
 
     # -- cold-path counters --------------------------------------------
     def count(self, name: str, amount: int = 1) -> None:
@@ -150,10 +182,13 @@ class PerfProbe:
     # -- spans ----------------------------------------------------------
     def span(self, name: str) -> _SpanTimer:
         """``with probe.span("phase"):`` — time one occurrence of *phase*."""
+        return _SpanTimer(self._stats(name))
+
+    def _stats(self, name: str) -> SpanStats:
         stats = self.spans.get(name)
         if stats is None:
             stats = self.spans[name] = SpanStats(name)
-        return _SpanTimer(stats)
+        return stats
 
     # -- roll-up ---------------------------------------------------------
     def counter_summary(self) -> Dict[str, int]:
@@ -210,74 +245,18 @@ def peak_rss_bytes() -> int:
 
 
 # ----------------------------------------------------------------------
-# Arming helpers
+# The ambient probe (what build_simulation attaches)
 # ----------------------------------------------------------------------
-def arm_simulator(probe: PerfProbe, sim: Any) -> None:
-    """Arm *probe* on a simulator and its event heap."""
-    sim.perf = probe
-    sim.events.perf = probe
-
-
-def arm_link(probe: PerfProbe, link: Any) -> None:
-    """Arm *probe* on a link and the queue discipline it owns."""
-    link.perf = probe
-    if link.queue is not None:
-        link.queue.perf = probe
-
-
-#: Topology attributes that may hold links, across the shipped
-#: topology kinds (dumbbell forward/reverse, overlay underlay pair).
-_TOPOLOGY_LINKS = ("forward", "reverse", "underlay", "underlay_reverse", "overlay")
-
-
-def arm_scenario(probe: PerfProbe, built: Any) -> None:
-    """Arm *probe* across one :class:`repro.build.BuiltScenario`."""
-    arm_simulator(probe, built.sim)
-    built.queue.perf = probe
-    seen = set()
-    for attr in _TOPOLOGY_LINKS:
-        link = getattr(built.topology, attr, None)
-        if link is not None and id(link) not in seen and hasattr(link, "queue"):
-            seen.add(id(link))
-            arm_link(probe, link)
-
-
-# ----------------------------------------------------------------------
-# The ambient probe (what build_simulation consults)
-# ----------------------------------------------------------------------
-_ACTIVE: Optional[PerfProbe] = None
-
-
 def active_probe() -> Optional[PerfProbe]:
-    """The probe armed by the innermost :func:`profiled`, or None."""
-    return _ACTIVE
+    """The probe pushed by the innermost :func:`profiled`, or None."""
+    return innermost(PerfProbe)
 
 
-class _Profiled:
-    """Context manager making one probe ambient (see :func:`profiled`)."""
-
-    __slots__ = ("probe", "_previous")
-
-    def __init__(self, probe: Optional[PerfProbe]) -> None:
-        self.probe = probe if probe is not None else PerfProbe()
-        self._previous: Optional[PerfProbe] = None
-
-    def __enter__(self) -> PerfProbe:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self.probe
-        return self.probe
-
-    def __exit__(self, *exc_info: Any) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
-
-
-def profiled(probe: Optional[PerfProbe] = None) -> _Profiled:
+def profiled(probe: Optional[PerfProbe] = None) -> ContextManager[PerfProbe]:
     """``with profiled() as probe:`` — every simulation built inside the
-    block (via :func:`repro.build.build_simulation`) is armed with
+    block (via :func:`repro.build.build_simulation`) is observed by
     *probe*, no experiment-code changes needed."""
-    return _Profiled(probe)
+    return observing(probe if probe is not None else PerfProbe())
 
 
 def iter_span_names(probe: PerfProbe) -> Iterator[str]:

@@ -5,8 +5,8 @@ calls :meth:`QueueDiscipline.enqueue` for every arriving packet and
 :meth:`QueueDiscipline.dequeue` whenever the transmitter goes idle.
 
 Drops can happen in two ways and both are reported through
-:meth:`_record_drop` so observers (experiment metrics, the TAQ tracker,
-admission control) see a single stream of drop notifications:
+:meth:`_record_drop`, so the queue's observer (see
+:mod:`repro.sim.observer`) sees a single stream of drop notifications:
 
 - the arriving packet is rejected (``enqueue`` returns False), or
 - an already-buffered packet is evicted to make room (push-out),
@@ -15,14 +15,12 @@ admission control) see a single stream of drop notifications:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.link import Link
-
-DropObserver = Callable[[Packet, float], None]
 
 
 class QueueDiscipline:
@@ -49,8 +47,7 @@ class QueueDiscipline:
     third-party subclasses that skip it simply get a ``__dict__`` back.
     """
 
-    __slots__ = ("capacity_pkts", "link", "enqueued", "dropped",
-                 "_drop_observers", "perf", "spans")
+    __slots__ = ("capacity_pkts", "link", "enqueued", "dropped", "observer")
 
     def __init__(self, capacity_pkts: int) -> None:
         if capacity_pkts < 1:
@@ -59,36 +56,20 @@ class QueueDiscipline:
         self.link: Optional["Link"] = None
         self.enqueued = 0
         self.dropped = 0
-        self._drop_observers: List[DropObserver] = []
-        #: Optional performance probe (``repro.perf``): every discipline
-        #: bumps ``packets_enqueued`` on accept and the base class bumps
-        #: ``packets_dropped`` for every drop (rejections and push-out
-        #: evictions alike).  None (the default) keeps the enqueue path
-        #: uninstrumented.
-        self.perf = None
-        #: Optional span recorder (``repro.obs.spans``): every drop —
-        #: rejection or push-out eviction — closes the packet's
-        #: lifecycle span.  None (the default) keeps the drop path
-        #: uninstrumented.
-        self.spans = None
+        #: Optional :class:`repro.sim.observer.Observer`: told of every
+        #: drop — rejection or push-out eviction — and of TAQ's
+        #: refusals, penalties and evictions.
+        self.observer = None
 
     # -- wiring --------------------------------------------------------
     def attach(self, link: "Link") -> None:
         """Called by the link that adopts this queue."""
         self.link = link
 
-    def add_drop_observer(self, observer: DropObserver) -> None:
-        """Register *observer(packet, now)* to be told about every drop."""
-        self._drop_observers.append(observer)
-
     def _record_drop(self, packet: Packet, now: float) -> None:
         self.dropped += 1
-        if self.perf is not None:
-            self.perf.packets_dropped += 1
-        if self.spans is not None:
-            self.spans.on_drop(packet, now)
-        for observer in self._drop_observers:
-            observer(packet, now)
+        if self.observer is not None:
+            self.observer.on_drop(packet, now)
 
     # -- policy --------------------------------------------------------
     def enqueue(self, packet: Packet, now: float) -> bool:

@@ -149,15 +149,11 @@ class TCPSender:
         self.on_complete = on_complete
         self.pool_id = -1
 
-        #: Optional telemetry probe (``repro.obs``): an object with
-        #: ``emit(kind, now, flow_id=..., **fields)``.  None (the
-        #: default) keeps the send path free of instrumentation.
-        self.probe = None
-        #: Optional span recorder (``repro.obs.spans``): records packet
-        #: births, SYN waits, RTO stalls and fast retransmits with
-        #: cause links.  None (the default) keeps the send path free of
-        #: instrumentation.
-        self.spans = None
+        #: Optional :class:`repro.sim.observer.Observer`, told of every
+        #: packet sent, SYN retry, handshake, RTO, fast retransmit and
+        #: completion.  Starts as the simulator's, so flows spawned
+        #: mid-run are observed like the rest.
+        self.observer = sim.observer
 
         self.state = "closed"  # closed -> syn_sent -> established -> done
         self.cwnd = self.initial_cwnd
@@ -197,8 +193,8 @@ class TCPSender:
     def _send_syn(self) -> None:
         self._syn_sent_at = self.sim.now
         packet = Packet(self.flow_id, SYN, size=HEADER_BYTES, pool_id=self.pool_id)
-        if self.spans is not None:
-            self.spans.on_packet_sent(packet, self.sim.now)
+        if self.observer is not None:
+            self.observer.on_sent(packet, self.sim.now)
         self._transmit(packet)
         timeout = self.SYN_TIMEOUT * (2 ** min(self._syn_retries, self.SYN_BACKOFF_CAP))
         self._syn_timer = self.sim.schedule(timeout, self._on_syn_timeout)
@@ -211,15 +207,8 @@ class TCPSender:
             return
         self._syn_retries += 1
         self.stats.syn_retries += 1
-        if self.probe is not None:
-            self.probe.emit(
-                "syn_retry",
-                self.sim.now,
-                flow_id=self.flow_id,
-                attempt=self._syn_retries,
-            )
-        if self.spans is not None:
-            self.spans.on_syn_retry(
+        if self.observer is not None:
+            self.observer.on_syn_retry(
                 self.flow_id,
                 self.sim.now,
                 self._syn_retries,
@@ -271,10 +260,6 @@ class TCPSender:
             if seq == self._timed_seq:
                 # Karn: the timed segment became ambiguous.
                 self._timed_seq = None
-            if self.probe is not None:
-                self.probe.emit(
-                    "retransmit", self.sim.now, flow_id=self.flow_id, seq=seq
-                )
         else:
             self.stats.data_sent += 1
             if self._timed_seq is None:
@@ -289,8 +274,8 @@ class TCPSender:
             if self._round_sent == 0:
                 self._round_started_at = self.sim.now
             self._round_sent += 1
-        if self.spans is not None:
-            self.spans.on_packet_sent(packet, self.sim.now)
+        if self.observer is not None:
+            self.observer.on_sent(packet, self.sim.now)
         self._transmit(packet)
         self._ensure_timer()
 
@@ -361,8 +346,8 @@ class TCPSender:
         if self._syn_timer is not None:
             self._syn_timer.cancel()
         self.state = "established"
-        if self.spans is not None:
-            self.spans.on_established(self.flow_id, now)
+        if self.observer is not None:
+            self.observer.on_established(self.flow_id, now)
         if self._syn_retries == 0:
             self.rto.sample(now - self._syn_sent_at)
         if self.total_segments == 0:
@@ -427,12 +412,8 @@ class TCPSender:
 
     def _fast_retransmit(self, now: float) -> None:
         self.stats.fast_retransmits += 1
-        if self.probe is not None:
-            self.probe.emit(
-                "fast_retransmit", now, flow_id=self.flow_id, seq=self.snd_una
-            )
-        if self.spans is not None:
-            self.spans.on_fast_retransmit(self.flow_id, now, seq=self.snd_una)
+        if self.observer is not None:
+            self.observer.on_fast_retransmit(self.flow_id, now, self.snd_una)
         self.ssthresh = max(self._pipe() / 2.0, 2.0)
         self.in_recovery = True
         self.recover = self.snd_next - 1
@@ -477,22 +458,9 @@ class TCPSender:
         self.stats.max_backoff_seen = max(
             self.stats.max_backoff_seen, self.rto.backoff_exponent
         )
-        if self.probe is not None:
-            self.probe.emit(
-                "rto",
-                now,
-                flow_id=self.flow_id,
-                backoff=self.rto.backoff_exponent,
-                rto=self.rto.rto,
-                snd_una=self.snd_una,
-            )
-        if self.spans is not None:
-            self.spans.on_rto(
-                self.flow_id,
-                now,
-                backoff=self.rto.backoff_exponent,
-                rto=self.rto.rto,
-                seq=self.snd_una,
+        if self.observer is not None:
+            self.observer.on_rto(
+                self.flow_id, now, self.rto.backoff_exponent, self.rto.rto, self.snd_una
             )
         self.ssthresh = max(self._pipe() / 2.0, 2.0)
         self.cwnd = 1.0
@@ -520,10 +488,10 @@ class TCPSender:
         if self._timer is not None:
             self._timer.cancel()
         fin = Packet(self.flow_id, FIN, size=HEADER_BYTES, pool_id=self.pool_id)
-        if self.spans is not None:
-            self.spans.on_packet_sent(fin, now)
+        if self.observer is not None:
+            self.observer.on_sent(fin, now)
         self._transmit(fin)
-        if self.spans is not None:
-            self.spans.on_flow_done(self.flow_id, now)
+        if self.observer is not None:
+            self.observer.on_flow_done(self.flow_id, now)
         if self.on_complete is not None:
             self.on_complete(now)

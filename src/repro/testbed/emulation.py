@@ -153,6 +153,8 @@ class TestbedDumbbell:
         )
         self.data_entry = self.lan
         self.ack_entry = self.reverse
+        #: Every link this testbed owns (what observers walk).
+        self.links = (self.lan, self.forward, self.reverse)
 
     # -- Dumbbell-compatible surface -----------------------------------
     def fair_share_bps(self, n_flows: int) -> float:

@@ -10,6 +10,7 @@ from repro.analysis import (
     slice_census,
 )
 from repro.analysis.trace import TraceRecord
+from repro.sim.observer import attach
 
 
 def record(time, flow, retransmit=False):
@@ -74,7 +75,7 @@ def test_paper_2_3_census_from_live_simulation():
 
     bench = build_dumbbell("droptail", 600_000, rtt=0.2, seed=1)
     recorder = PacketTraceRecorder()
-    bench.bell.forward.add_delivery_tap(recorder.observe)
+    attach(bench.bell.forward, recorder)
     spawn_bulk_flows(bench.bell, 120, start_window=5.0, extra_rtt_max=0.1)
     bench.sim.run(until=90.0)
     timelines = build_timelines(recorder.records)

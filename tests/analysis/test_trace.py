@@ -4,6 +4,7 @@ import io
 
 from repro.analysis import PacketTraceRecorder, TraceRecord, load_trace, save_trace
 from repro.net.packet import ACK, DATA, Packet
+from repro.sim.observer import attach
 
 
 def data(flow=1, seq=0, retransmit=False):
@@ -98,7 +99,7 @@ def test_drop_tap_on_queue():
 
     queue = DropTailQueue(2)
     recorder = PacketTraceRecorder()
-    queue.add_drop_observer(recorder.observe_drop)
+    attach(queue, recorder)
     for seq in range(4):
         queue.enqueue(data(seq=seq), 0.1 * (seq + 1))
     assert len(recorder) == 2
@@ -114,7 +115,7 @@ def test_live_tap_on_dumbbell():
     sim = Simulator(seed=2)
     bell = Dumbbell(sim, 1_000_000, 0.1)
     recorder = PacketTraceRecorder()
-    bell.forward.add_tap(recorder.observe)
+    attach(bell.forward, recorder)
     TcpFlow(bell, 1, size_segments=20)
     sim.run(until=30.0)
     assert len(recorder) >= 20

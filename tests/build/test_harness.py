@@ -44,12 +44,12 @@ def test_build_queue_unknown_kind():
 
 def test_taq_reverse_tap_installed_by_default():
     built = build_simulation(scenario())
-    assert built.queue.observe_reverse in built.topology.reverse._taps
+    assert built.topology.reverse.observer.queue is built.queue
 
 
 def test_reverse_tap_disabled_leaves_one_way_mode():
     built = build_simulation(scenario(queue=QueueSpec(kind="taq", reverse_tap=False)))
-    assert built.queue.observe_reverse not in built.topology.reverse._taps
+    assert built.topology.reverse.observer is None
 
 
 def test_delivery_link_is_forward_for_dumbbell():

@@ -22,10 +22,7 @@ class FakeQueue:
         self._resident = resident
         self.enqueued = enqueued
         self.dropped = 0
-        self.drop_observers = []
-
-    def add_drop_observer(self, fn):
-        self.drop_observers.append(fn)
+        self.observer = None
 
     def __len__(self):
         return self._resident
@@ -36,16 +33,7 @@ class FakeLink:
 
     def __init__(self):
         self.queue = FakeQueue()
-        self.taps = {"arrival": [], "transmit": [], "delivery": []}
-
-    def add_tap(self, fn):
-        self.taps["arrival"].append(fn)
-
-    def add_transmit_tap(self, fn):
-        self.taps["transmit"].append(fn)
-
-    def add_delivery_tap(self, fn):
-        self.taps["delivery"].append(fn)
+        self.observer = None
 
 
 class FakeEvents:
@@ -109,10 +97,10 @@ def test_conservation_taps_feed_the_ledger():
     link = FakeLink()
     monitor = LinkConservationMonitor(link)
     packet = Packet(1, DATA, seq=0, size=500)
-    link.taps["arrival"][0](packet, 0.0)
-    link.taps["transmit"][0](packet, 0.0)
-    link.taps["delivery"][0](packet, 0.0)
-    link.queue.drop_observers[0](packet, 0.0)
+    link.observer.on_arrive(link, packet, 0.0)
+    link.observer.on_tx_start(link, packet, 0.0)
+    link.observer.on_deliver(link, packet, 0.0)
+    link.queue.observer.on_drop(packet, 0.0)
     assert (monitor.arrived, monitor.transmitted,
             monitor.delivered, monitor.dropped) == (1, 1, 1, 1)
 

@@ -3,13 +3,14 @@
 The equivalence tests are the heart of the "passive observer" contract:
 an armed run must pop exactly the same events and produce bit-identical
 metrics as an unarmed one, and a run without monitors must carry no
-instrumentation at all (``sim.monitor is None``).
+instrumentation at all (``sim.events.observer is None``).
 """
 
 import pytest
 
 from repro.build import build_simulation
 from repro.check.suite import attach_monitors, run_checked
+from repro.sim.observer import observers_of
 
 from tests.check.conftest import make_spec
 
@@ -36,7 +37,7 @@ def test_attach_covers_both_dumbbell_links():
     assert names.count("occupancy") == 2
     assert "clock" in names and "tcp" in names
     assert "taq" not in names  # droptail has no TAQ ledgers
-    assert built.sim.monitor is suite
+    assert built.sim.events.observer is suite
 
 
 def test_attach_adds_taq_monitor_for_taq_queues():
@@ -67,14 +68,33 @@ def test_finalize_is_idempotent_and_detach_unhooks():
     suite.finalize()  # second call must not re-run end checks
     assert len(suite.violations) == before
     suite.detach()
-    assert built.sim.monitor is None
+    assert built.sim.events.observer is None
+
+
+def test_detached_suite_stops_observing_while_the_run_continues():
+    built = build_simulation(make_spec())
+    suite = attach_monitors(built)
+    built.run(until=3.0)
+    conservation = [m for m in suite.monitors if m.name == "conservation"]
+    ledgers = [(m.arrived, m.dropped, m.transmitted, m.delivered) for m in conservation]
+    assert all(ledger[0] > 0 for ledger in ledgers)
+    suite.detach()
+    for link in built.topology.links:
+        assert not set(observers_of(link)) & set(suite.monitors)
+        assert link.queue.observer is None
+    arrived_before = [link.stats.arrived for link in built.topology.links]
+    built.run()
+    arrived_after = [link.stats.arrived for link in built.topology.links]
+    assert all(after > before for after, before in zip(arrived_after, arrived_before))
+    assert [(m.arrived, m.dropped, m.transmitted, m.delivered)
+            for m in conservation] == ledgers
 
 
 def test_unarmed_run_carries_no_instrumentation():
     built = build_simulation(make_spec())
-    assert built.sim.monitor is None
+    assert built.sim.events.observer is None
     built.run()
-    assert built.sim.monitor is None
+    assert built.sim.events.observer is None
 
 
 def test_armed_run_is_bit_identical_to_unarmed():

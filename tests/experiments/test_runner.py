@@ -34,12 +34,12 @@ def test_make_queue_buffer_sizing():
 
 def test_build_dumbbell_wires_taq_reverse_tap():
     bench = build_dumbbell("taq", 1_000_000, rtt=0.2)
-    assert len(bench.bell.reverse._taps) == 1
+    assert bench.bell.reverse.observer.queue is bench.queue
 
 
 def test_build_dumbbell_wires_collector():
     bench = build_dumbbell("droptail", 1_000_000, rtt=0.2)
-    assert len(bench.bell.forward._delivery_taps) == 1
+    assert bench.bell.forward.observer is bench.collector
 
 
 def test_flows_for_fair_share():

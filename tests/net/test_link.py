@@ -6,6 +6,9 @@ from repro.net.link import Link
 from repro.net.packet import DATA, Packet
 from repro.queues.droptail import DropTailQueue
 from repro.sim.simulator import Simulator
+from repro.sim.observer import attach
+
+from tests.hooks import Hooks
 
 
 class Sink:
@@ -74,7 +77,7 @@ def test_tap_sees_all_arrivals_including_drops():
     sink = Sink()
     link = make_link(sim, capacity=8000.0, delay=0.0, buffer_pkts=1)
     seen = []
-    link.add_tap(lambda p, now: seen.append(p))
+    attach(link, Hooks(on_arrive=lambda _link, p, now: seen.append(p)))
     for _ in range(5):
         link.send(packet(size=1000, sink=sink))
     assert len(seen) == 5

@@ -59,22 +59,22 @@ def test_armed_scenario_is_bit_identical():
 
 def test_disarmed_components_carry_no_recorder():
     # The zero-overhead-when-off contract: every hook site is a
-    # ``spans is None`` check on these attributes.
+    # ``observer is None`` check on these attributes.
     built, _ = _run(SCENARIO, armed=False)
-    assert built.sim.spans is None
-    assert built.queue.spans is None
-    assert built.topology.forward.spans is None
+    assert built.sim.observer is None
+    assert built.queue.observer is None
+    assert built.topology.forward.observer is built.collector
     for flow in built.all_flows():
-        assert flow.sender.spans is None
+        assert flow.sender.observer is None
 
 
 def test_armed_run_arms_every_layer():
     built, recorder = _run(SCENARIO, armed=True)
     # Every layer's slot holds the ambient recorder...
-    assert built.sim.spans is recorder
-    assert built.queue.spans is recorder
-    assert built.topology.forward.spans is recorder
-    assert all(flow.sender.spans is recorder for flow in built.all_flows())
+    assert built.sim.observer is recorder
+    assert built.queue.observer is recorder
+    assert recorder in built.topology.forward.observer.observers
+    assert all(flow.sender.observer is recorder for flow in built.all_flows())
     # ... and the hooks demonstrably fired.
     kinds = recorder.counts_by_kind()
     assert kinds["run"] == 1            # simulator hook

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,10 @@ from repro.obs.spans import (
     recording,
     save_spans,
 )
+
+#: Stand-ins for the links the recorder's link calls name.
+FORWARD = SimpleNamespace(name="forward", next_link=None)
+REVERSE = SimpleNamespace(name="reverse", next_link=None)
 
 
 def _span(recorder, span_id):
@@ -45,7 +50,7 @@ def _by_kind(recorder, kind):
 class TestRecorderHooks:
     def test_flow_span_opens_on_first_syn_and_closes_on_done(self):
         rec = SpanRecorder()
-        rec.on_packet_sent(Packet(7, "syn"), 1.0)
+        rec.on_sent(Packet(7, "syn"), 1.0)
         (flow,) = _by_kind(rec, "flow")
         assert flow.t0 == 1.0 and flow.t1 is None
         rec.on_flow_done(7, 9.5)
@@ -56,7 +61,7 @@ class TestRecorderHooks:
     def test_pkt_span_parent_is_flow_span(self):
         rec = SpanRecorder()
         pkt = Packet(3, "data", seq=4, size=200)
-        rec.on_packet_sent(pkt, 2.0)
+        rec.on_sent(pkt, 2.0)
         (flow,) = _by_kind(rec, "flow")
         (span,) = _by_kind(rec, "pkt")
         assert span.parent == flow.id
@@ -67,31 +72,31 @@ class TestRecorderHooks:
     def test_retransmit_cause_links_to_the_drop(self):
         rec = SpanRecorder()
         first = Packet(3, "data", seq=4, size=200)
-        rec.on_packet_sent(first, 1.0)
+        rec.on_sent(first, 1.0)
         rec.on_drop(first, 1.5)
         dropped = _span(rec, first.span_id)
         assert dropped.fields["outcome"] == "dropped"
         assert dropped.stages[-1] == ["drop", 1.5]
 
         rtx = Packet(3, "data", seq=4, size=200, is_retransmit=True)
-        rec.on_packet_sent(rtx, 2.0)
+        rec.on_sent(rtx, 2.0)
         rtx_span = _span(rec, rtx.span_id)
         assert rtx_span.cause == dropped.id
         assert rtx_span.fields["rtx"] is True
 
     def test_retransmit_without_seen_drop_falls_back_to_recovery(self):
         rec = SpanRecorder()
-        rec.on_packet_sent(Packet(3, "data", seq=0, size=200), 1.0)
+        rec.on_sent(Packet(3, "data", seq=0, size=200), 1.0)
         rec.on_rto(3, 4.0, backoff=1, rto=3.0, seq=0)
         (rto,) = _by_kind(rec, "rto")
         rtx = Packet(3, "data", seq=5, size=200, is_retransmit=True)
-        rec.on_packet_sent(rtx, 4.0)  # seq 5 never dropped under our eyes
+        rec.on_sent(rtx, 4.0)  # seq 5 never dropped under our eyes
         assert _span(rec, rtx.span_id).cause == rto.id
 
     def test_rto_stall_spans_the_silence(self):
         rec = SpanRecorder()
         pkt = Packet(3, "data", seq=0, size=200)
-        rec.on_packet_sent(pkt, 1.0)
+        rec.on_sent(pkt, 1.0)
         rec.on_drop(pkt, 1.4)  # last activity
         rec.on_rto(3, 4.4, backoff=2, rto=3.0, seq=0)
         (rto,) = _by_kind(rec, "rto")
@@ -103,8 +108,8 @@ class TestRecorderHooks:
     def test_refused_syn_marks_the_syn_wait_as_admission(self):
         rec = SpanRecorder()
         syn = Packet(9, "syn")
-        rec.on_packet_sent(syn, 0.0)
-        rec.on_admission_refused(syn, 0.01)
+        rec.on_sent(syn, 0.0)
+        rec.on_refuse(syn, 0.01)
         rec.on_drop(syn, 0.01)
         rec.on_syn_retry(9, 3.0, attempt=1, waited=3.0)
         (wait,) = _by_kind(rec, "syn_wait")
@@ -114,7 +119,7 @@ class TestRecorderHooks:
 
     def test_lost_syn_wait_is_not_marked_refused(self):
         rec = SpanRecorder()
-        rec.on_packet_sent(Packet(9, "syn"), 0.0)
+        rec.on_sent(Packet(9, "syn"), 0.0)
         rec.on_syn_retry(9, 3.0, attempt=1, waited=3.0)
         (wait,) = _by_kind(rec, "syn_wait")
         assert "refused" not in wait.fields
@@ -122,11 +127,11 @@ class TestRecorderHooks:
     def test_link_stages_record_the_packet_lifecycle(self):
         rec = SpanRecorder()
         pkt = Packet(5, "data", seq=0, size=200)
-        rec.on_packet_sent(pkt, 1.0)
+        rec.on_sent(pkt, 1.0)
         pkt.enqueued_at = 1.0
-        rec.on_enqueue(pkt, 1.0, "forward")
-        rec.on_tx_start(pkt, 1.2, "forward")
-        rec.on_delivered(pkt, 1.3, last=True)
+        rec.on_enqueue(FORWARD, pkt, 1.0)
+        rec.on_tx_start(FORWARD, pkt, 1.2)
+        rec.on_deliver(FORWARD, pkt, 1.3)
         span = _span(rec, pkt.span_id)
         assert span.stages == [
             ["created", 1.0], ["enq", 1.0, "forward"],
@@ -138,7 +143,7 @@ class TestRecorderHooks:
         # ACKs are born in the receiver, not under a sender hook.
         rec = SpanRecorder()
         ack = Packet(5, "ack", ack_seq=3)
-        rec.on_enqueue(ack, 2.0, "reverse")
+        rec.on_enqueue(REVERSE, ack, 2.0)
         span = _span(rec, ack.span_id)
         assert span.fields["pkt"] == "ack"
         assert span.stages == [["enq", 2.0, "reverse"]]
@@ -146,9 +151,9 @@ class TestRecorderHooks:
     def test_penalty_span_links_to_latest_drop(self):
         rec = SpanRecorder()
         pkt = Packet(4, "data", seq=1, size=200)
-        rec.on_packet_sent(pkt, 1.0)
+        rec.on_sent(pkt, 1.0)
         rec.on_drop(pkt, 1.1)
-        rec.on_penalized(Packet(4, "data", seq=2, size=200), 1.5, recent_drops=3)
+        rec.on_penalize(Packet(4, "data", seq=2, size=200), 1.5, recent_drops=3)
         (penalty,) = _by_kind(rec, "penalty")
         assert penalty.cause == pkt.span_id
         assert penalty.fields["recent_drops"] == 3
@@ -156,18 +161,18 @@ class TestRecorderHooks:
     def test_truncation_stops_new_spans_but_not_stage_appends(self):
         rec = SpanRecorder(limit=2)
         pkt = Packet(1, "data", seq=0, size=200)
-        rec.on_packet_sent(pkt, 0.0)  # flow span + pkt span = limit
+        rec.on_sent(pkt, 0.0)  # flow span + pkt span = limit
         assert len(rec.spans) == 2 and not rec.truncated
-        rec.on_packet_sent(Packet(1, "data", seq=1, size=200), 0.1)
+        rec.on_sent(Packet(1, "data", seq=1, size=200), 0.1)
         assert len(rec.spans) == 2 and rec.truncated
         # The already-created span still completes its lifecycle.
-        rec.on_delivered(pkt, 0.3, last=True)
+        rec.on_deliver(FORWARD, pkt, 0.3)
         assert _span(rec, pkt.span_id).fields["outcome"] == "delivered"
 
     def test_flow_done_drops_per_flow_working_state(self):
         rec = SpanRecorder()
         pkt = Packet(2, "data", seq=0, size=200)
-        rec.on_packet_sent(pkt, 0.0)
+        rec.on_sent(pkt, 0.0)
         rec.on_drop(pkt, 0.1)
         rec.on_rto(2, 1.0, backoff=1, rto=1.0, seq=0)
         rec.on_flow_done(2, 2.0)
@@ -177,8 +182,9 @@ class TestRecorderHooks:
 
     def test_summary_counts_by_kind(self):
         rec = SpanRecorder()
-        rec.on_packet_sent(Packet(1, "syn"), 0.0)
-        rec.on_run_end(rec.on_run_start(0.0), 5.0)
+        rec.on_sent(Packet(1, "syn"), 0.0)
+        rec.on_run_start(0.0)
+        rec.on_run_end(5.0)
         summary = rec.summary()
         assert summary["spans"] == 3
         assert summary["by_kind"] == {"flow": 1, "pkt": 1, "run": 1}
@@ -280,9 +286,9 @@ class TestPersistence:
     def test_roundtrip_preserves_everything(self):
         rec = SpanRecorder()
         pkt = Packet(3, "data", seq=4, size=200)
-        rec.on_packet_sent(pkt, 1.0)
+        rec.on_sent(pkt, 1.0)
         pkt.enqueued_at = 1.0
-        rec.on_enqueue(pkt, 1.0, "forward")
+        rec.on_enqueue(FORWARD, pkt, 1.0)
         rec.on_drop(pkt, 1.5)
         rec.on_rto(3, 4.5, backoff=1, rto=3.0, seq=4)
         rec.on_flow_done(3, 5.0)

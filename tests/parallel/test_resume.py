@@ -72,6 +72,9 @@ def test_sigkill_then_resume_reruns_only_cold_points(tmp_path):
         cwd=str(REPO_ROOT),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        # Its own session, so the pool workers it forks can be reaped
+        # as one process group once the parent is gone.
+        start_new_session=True,
     )
     try:
         # Let it land a few points, then SIGKILL mid-sweep.
@@ -83,16 +86,23 @@ def test_sigkill_then_resume_reruns_only_cold_points(tmp_path):
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30.0)
-    # Orphaned pool workers finish their in-flight point and exit;
-    # give them a moment so the entry count stops moving.
-    settled = count_entries(cache_root)
-    deadline = time.time() + 10.0
-    while time.time() < deadline:
-        time.sleep(3 * DELAY_S)
-        now = count_entries(cache_root)
-        if now == settled:
-            break
-        settled = now
+    # Orphaned pool workers finish their in-flight point; give them a
+    # moment so the entry count stops moving, then end the session so
+    # none outlives the test.
+    try:
+        settled = count_entries(cache_root)
+        deadline = time.time() + 10.0
+        while time.time() < deadline:
+            time.sleep(3 * DELAY_S)
+            now = count_entries(cache_root)
+            if now == settled:
+                break
+            settled = now
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
     warm = count_entries(cache_root)
     assert 0 < warm < N_POINTS, "kill landed too early or too late"

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from repro.build import ScenarioSpec, build_simulation
-from repro.perf import PerfProbe, active_probe, arm_simulator, peak_rss_bytes, profiled
+from repro.perf import PerfProbe, active_probe, peak_rss_bytes, profiled
+from repro.sim.observer import attach
 from repro.sim.simulator import Simulator
 
 SCENARIO = {
@@ -19,7 +20,8 @@ SCENARIO = {
 def test_simulator_counters():
     sim = Simulator(seed=1)
     probe = PerfProbe()
-    arm_simulator(probe, sim)
+    attach(sim, probe)
+    attach(sim.events, probe)
     fired = []
     events = [sim.schedule(0.01 * i, fired.append, (i,)) for i in range(10)]
     events[3].cancel()
@@ -41,7 +43,7 @@ def test_event_queue_pop_counts_discards():
 
     probe = PerfProbe()
     queue = EventQueue()
-    queue.perf = probe
+    attach(queue, probe)
     first = queue.push(1.0, lambda: None)
     second = queue.push(2.0, lambda: None)
     first.cancel()
@@ -99,9 +101,9 @@ def test_profiled_nesting_restores_outer_probe():
 
 def test_unarmed_components_stay_unarmed():
     built = build_simulation(ScenarioSpec.from_document(SCENARIO))
-    assert built.sim.perf is None
-    assert built.sim.events.perf is None
-    assert built.queue.perf is None
+    assert built.sim.observer is None
+    assert built.sim.events.observer is None
+    assert built.queue.observer is None
 
 
 def test_peak_rss_is_positive_on_posix():

@@ -13,6 +13,9 @@ import pytest
 from repro.core import TAQQueue
 from repro.net.packet import DATA, Packet
 from repro.queues import DropTailQueue, REDQueue, SFQQueue
+from repro.sim.observer import attach
+
+from tests.hooks import Hooks
 
 
 def make_queue(kind: str):
@@ -68,8 +71,8 @@ def test_loss_rate_zero_when_nothing_offered():
 def test_multiple_observers_called_in_registration_order(kind):
     queue = make_queue(kind)
     calls = []
-    queue.add_drop_observer(lambda pkt, now: calls.append("first"))
-    queue.add_drop_observer(lambda pkt, now: calls.append("second"))
+    attach(queue, Hooks(on_drop=lambda pkt, now: calls.append("first")))
+    attach(queue, Hooks(on_drop=lambda pkt, now: calls.append("second")))
     drive(queue)
     assert queue.dropped > 0
     # Each drop fans out to every observer, first-registered first, and
@@ -80,7 +83,7 @@ def test_multiple_observers_called_in_registration_order(kind):
 def test_sfq_push_out_eviction_counted_once():
     queue = SFQQueue(2, buckets=4)
     victims = []
-    queue.add_drop_observer(lambda pkt, now: victims.append(pkt.seq))
+    attach(queue, Hooks(on_drop=lambda pkt, now: victims.append(pkt.seq)))
     for seq in range(3):
         assert queue.enqueue(Packet(seq, DATA, seq=seq, size=500), 0.1 * (seq + 1))
     # Three offered, one pushed out: 2 buffered + 1 dropped == 3.
@@ -94,7 +97,7 @@ def test_sfq_push_out_eviction_counted_once():
 def test_taq_push_out_eviction_counted_once():
     queue = TAQQueue(2, default_epoch=0.2)
     dropped_packets = []
-    queue.add_drop_observer(lambda pkt, now: dropped_packets.append(pkt))
+    attach(queue, Hooks(on_drop=lambda pkt, now: dropped_packets.append(pkt)))
     offered = 0
     now = 0.0
     for seq in range(40):

@@ -2,6 +2,9 @@
 
 from repro.net.packet import DATA, Packet
 from repro.queues.droptail import DropTailQueue
+from repro.sim.observer import attach
+
+from tests.hooks import Hooks
 
 
 def pkt(flow=1, seq=0):
@@ -34,7 +37,7 @@ def test_dequeue_empty_returns_none():
 def test_drop_observer_notified():
     queue = DropTailQueue(1)
     drops = []
-    queue.add_drop_observer(lambda p, now: drops.append((p, now)))
+    attach(queue, Hooks(on_drop=lambda p, now: drops.append((p, now))))
     queue.enqueue(pkt(seq=1), 0.0)
     victim = pkt(seq=2)
     queue.enqueue(victim, 3.5)

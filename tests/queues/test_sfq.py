@@ -2,6 +2,9 @@
 
 from repro.net.packet import DATA, Packet
 from repro.queues.sfq import SFQQueue
+from repro.sim.observer import attach
+
+from tests.hooks import Hooks
 
 
 def pkt(flow, seq=0):
@@ -23,7 +26,7 @@ def test_buffer_stealing_evicts_longest_bucket():
     for i in range(4):
         queue.enqueue(pkt(1, seq=i), 0.0)
     drops = []
-    queue.add_drop_observer(lambda p, now: drops.append(p))
+    attach(queue, Hooks(on_drop=lambda p, now: drops.append(p)))
     assert queue.enqueue(pkt(2, seq=0), 0.0)  # steals from flow 1
     assert len(drops) == 1
     assert drops[0].flow_id == 1

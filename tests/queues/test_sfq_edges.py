@@ -12,6 +12,9 @@ DropTail packet-for-packet.
 from repro.net.packet import DATA, Packet
 from repro.queues.droptail import DropTailQueue
 from repro.queues.sfq import SFQQueue
+from repro.sim.observer import attach
+
+from tests.hooks import Hooks
 
 
 def pkt(flow, seq=0):
@@ -72,6 +75,6 @@ def test_multi_bucket_buffer_stealing_unchanged():
     for i in range(4):
         queue.enqueue(pkt(1, seq=i), 0.0)
     drops = []
-    queue.add_drop_observer(lambda p, now: drops.append(p))
+    attach(queue, Hooks(on_drop=lambda p, now: drops.append(p)))
     assert queue.enqueue(pkt(2, seq=0), 0.0)
     assert len(drops) == 1 and drops[0].flow_id == 1

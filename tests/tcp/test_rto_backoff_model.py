@@ -20,6 +20,7 @@ paper's Markov models (:mod:`repro.model.partial` / ``full``) encode:
 import pytest
 
 from repro.build import ScenarioSpec, build_simulation
+from repro.sim.observer import Observer, attach
 from repro.tcp.rto import RtoEstimator
 
 
@@ -72,15 +73,14 @@ def test_rto_stays_clamped_throughout_the_ladder():
 # Scenario-level agreement on a 2-flow bottleneck
 
 
-class RecordingProbe:
-    """Minimal ``repro.obs``-compatible probe keeping rto events."""
+class RecordingProbe(Observer):
+    """Minimal observer keeping rto events."""
 
     def __init__(self):
         self.events = []
 
-    def emit(self, kind, time, flow_id=-1, **fields):
-        if kind == "rto":
-            self.events.append((flow_id, time, fields["backoff"], fields["rto"]))
+    def on_rto(self, flow_id, time, backoff, rto, seq):
+        self.events.append((flow_id, time, backoff, rto))
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,7 @@ def rto_trace():
     flows = built.all_flows()
     assert len(flows) == 2
     for flow in flows:
-        flow.sender.probe = probe
+        attach(flow.sender, probe)
     built.run()
     return built, probe.events
 

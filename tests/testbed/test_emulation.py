@@ -6,6 +6,7 @@ from repro.core import TAQQueue
 from repro.metrics import SliceGoodputCollector
 from repro.net.packet import DATA, Packet
 from repro.queues.droptail import DropTailQueue
+from repro.sim.observer import attach
 from repro.sim.simulator import Simulator
 from repro.testbed import JitteredLink, TestbedDumbbell, clock_quantizer
 from repro.workloads import spawn_bulk_flows
@@ -80,7 +81,7 @@ def test_testbed_runs_unmodified_taq():
     bed = TestbedDumbbell(sim, 600_000, rtt=0.05, queue=taq)
     taq.install_reverse_tap(bed.reverse)
     col = SliceGoodputCollector(5.0)
-    bed.forward.add_delivery_tap(col.observe)
+    attach(bed.forward, col)
     flows = spawn_bulk_flows(bed, 20, size_segments=None, start_window=1.0)
     sim.run(until=30.0)
     assert len(taq.tracker.flows) > 0
