@@ -32,6 +32,7 @@ from repro.build.harness import (
     build_simulation,
     manifest_payloads,
     observe_scenario,
+    work_counts,
 )
 from repro.build.registries import (
     BACKENDS,
@@ -80,4 +81,5 @@ __all__ = [
     "load_plugins",
     "manifest_payloads",
     "observe_scenario",
+    "work_counts",
 ]

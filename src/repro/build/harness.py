@@ -231,8 +231,8 @@ def _assemble_packet(spec: ScenarioSpec) -> BuiltScenario:
         group = WORKLOADS.create(workload.kind, context, **workload.params)
         built.groups.append(group)
         flows_spawned += len(group.flows)
-    # Ambient observers (``profiled()``, ``recording()``): observers
-    # never touch what they watch, so the run stays bit-identical.
+    # Ambient observers (``recording()``): observers never touch what
+    # they watch, so the run stays bit-identical.
     for observer in ambient():
         observe_scenario(built, observer)
     return built
@@ -255,6 +255,41 @@ def observe_scenario(built: BuiltScenario, observer: Observer) -> None:
     for flow in built.all_flows():
         if isinstance(flow.sender, TCPSender):
             attach(flow.sender, observer)
+
+
+def work_counts(built: BuiltScenario) -> Dict[str, int]:
+    """What the run did, read from the totals its components keep.
+
+    Events popped and cancelled come from the simulator and its event
+    queue; packet counts are summed over every link the topology owns.
+    ``taq.evictions`` (push-outs at TAQ queues, which drop without the
+    link seeing a rejection) is present only when non-zero.  Reading
+    totals needs no observer, so any built scenario can be counted
+    after (or during) its run.
+    """
+    from repro.core import TAQQueue
+
+    sim = built.sim
+    enqueued = dropped = dequeued = delivered = evictions = 0
+    for link in built.topology.links:
+        queue, stats = link.queue, link.stats
+        enqueued += stats.arrived - stats.dropped
+        dropped += queue.dropped
+        dequeued += stats.arrived - queue.dropped - len(queue)
+        delivered += stats.delivered
+        if isinstance(queue, TAQQueue):
+            evictions += queue.dropped - stats.dropped
+    counts = {
+        "net.packets_delivered": delivered,
+        "net.packets_dequeued": dequeued,
+        "net.packets_dropped": dropped,
+        "net.packets_enqueued": enqueued,
+        "sim.events_popped": sim.processed,
+        "sim.heap_discards": sim.events.scheduled - sim.processed - len(sim.events),
+    }
+    if evictions:
+        counts["taq.evictions"] = evictions
+    return counts
 
 
 def manifest_payloads(spec: ScenarioSpec) -> Dict[str, Dict[str, Any]]:

@@ -15,6 +15,7 @@ step of diffing two runs (see ``docs/observability.md``).
 from __future__ import annotations
 
 import json
+import sys
 import time as _time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
@@ -74,6 +75,27 @@ class RunManifest:
             handle.write("\n")
 
 
+def peak_rss_bytes() -> int:
+    """Lifetime peak resident set size of this process, in bytes.
+
+    Uses ``resource.getrusage`` (kilobytes on Linux, bytes on macOS);
+    returns 0 where the module is unavailable (non-POSIX platforms) so
+    callers can treat the value as best-effort.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return 0
+    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - macOS units
+        return int(usage)
+    return int(usage) * 1024
+
+
+#: :func:`build_manifest`'s parameter of the same name shadows it.
+_peak_rss = peak_rss_bytes
+
+
 def build_manifest(
     run_id: str,
     seed: int,
@@ -92,11 +114,10 @@ def build_manifest(
     """Assemble a manifest, filling in source hash and timestamp.
 
     ``peak_rss_bytes`` defaults to the producing process's own peak RSS
-    (``repro.perf.peak_rss_bytes``), so every bundle records its memory
+    (:func:`peak_rss_bytes`), so every bundle records its memory
     footprint without callers having to thread it through.
     """
     from repro.parallel.cache import code_version
-    from repro.perf.probe import peak_rss_bytes as _peak_rss
 
     return RunManifest(
         run_id=run_id,

@@ -130,8 +130,8 @@ class CacheBackend:
     silent miss) and ``hits``/``misses`` counters.
     """
 
-    #: Short backend tag; also the per-backend perf-counter label
-    #: (``parallel.cache.<kind>.hits``).
+    #: Short backend tag (``stats()["kind"]``, the ``kind`` label of
+    #: the ``/metrics`` hit/miss counters).
     kind = "base"
 
     version: Optional[str] = None

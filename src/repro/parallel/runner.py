@@ -174,14 +174,6 @@ class ParallelRunner:
     progress:
         Optional callback invoked after every completed point with
         ``(done, total, result)``; see :class:`ProgressPrinter`.
-    perf:
-        Optional :class:`repro.perf.PerfProbe`: counts cache
-        hits/misses (totals in the hot counters, per-backend under
-        ``parallel.cache.<kind>.hits/misses``) and wraps each
-        in-process point execution in a ``parallel.point`` span.  None
-        (the default) keeps the runner uninstrumented.  Worker
-        processes (``jobs > 1``) cannot share the parent's probe, so
-        pool-executed points contribute cache counters only.
     bus_dir:
         Optional directory for the live progress bus
         (:mod:`repro.parallel.bus`): workers append start / heartbeat /
@@ -207,7 +199,6 @@ class ParallelRunner:
         jobs: Optional[int] = 1,
         cache: Optional[CacheBackend] = None,
         progress: Optional[ProgressCallback] = None,
-        perf=None,
         bus_dir: Optional[str] = None,
         store: Optional[JobStore] = None,
         keep_going: bool = False,
@@ -215,7 +206,6 @@ class ParallelRunner:
         self.jobs = max(1, jobs if jobs is not None else os.cpu_count() or 1)
         self.cache = cache
         self.progress = progress
-        self.perf = perf
         self.keep_going = keep_going
         if bus_dir is None:
             bus_dir = os.environ.get("TAQ_OBS_BUS") or None
@@ -226,18 +216,6 @@ class ParallelRunner:
                 store = JobStore(store_dir,
                                  version=getattr(cache, "version", None))
         self.store = store
-
-    # -- perf accounting -------------------------------------------------
-    def _count_cache(self, hit: bool) -> None:
-        if self.perf is None:
-            return
-        kind = getattr(self.cache, "kind", "dir")
-        if hit:
-            self.perf.cache_hits += 1
-            self.perf.count(f"parallel.cache.{kind}.hits")
-        else:
-            self.perf.cache_misses += 1
-            self.perf.count(f"parallel.cache.{kind}.misses")
 
     # -- the executor ----------------------------------------------------
     def run(self, specs: Sequence[PointSpec]) -> List[PointResult]:
@@ -268,7 +246,6 @@ class ParallelRunner:
             else:
                 hit, lookup_time = None, 0.0
             if hit is not None:
-                self._count_cache(hit=True)
                 value, wall_time = hit
                 results[index] = PointResult(
                     spec, value, wall_time, cached=True, lookup_time=lookup_time
@@ -280,8 +257,6 @@ class ParallelRunner:
                              wall=wall_time, cached=True)
                 self._report(done, total, results[index])
             else:
-                if self.cache is not None:
-                    self._count_cache(hit=False)
                 pending.append(index)
 
         try:
@@ -312,11 +287,7 @@ class ParallelRunner:
                  index: int, done: int, total: int) -> Optional[PointResult]:
         store.mark_running(job_id, pid=os.getpid())
         try:
-            if self.perf is not None:
-                with self.perf.span("parallel.point"):
-                    value, wall_time = self._execute_maybe_traced(spec, index)
-            else:
-                value, wall_time = self._execute_maybe_traced(spec, index)
+            value, wall_time = self._execute_maybe_traced(spec, index)
         except Exception as exc:
             store.mark_failed(job_id, repr(exc))
             if self.keep_going:

@@ -1,20 +1,19 @@
 """repro.perf — performance observability for the simulator.
 
-Three layers:
+Two layers:
 
-- :mod:`repro.perf.probe` — :class:`PerfProbe`: hot-path counters and
-  wall-clock spans, an observer on the components' ``observer`` slots
-  (zero overhead when off; armed runs stay bit-identical).
 - :mod:`repro.perf.bench` / :mod:`repro.perf.suite` — the deterministic
   benchmark suite and the schema-versioned ``BENCH_*.json`` document it
   emits; :mod:`repro.perf.compare` diffs two BENCH files with
-  per-benchmark regression thresholds.
+  per-benchmark regression thresholds and an exact gate on work counts.
 - :mod:`repro.perf.cli` — the ``taq-perf`` command (``run`` /
   ``compare`` / ``profile``); :mod:`repro.perf.flamestack` provides the
   collapsed-stack sampler behind ``profile``.
 
-See ``docs/performance.md`` for the span/counter catalogue and the
-BENCH schema.
+Work counts (events popped, packets enqueued/dropped/...) are not kept
+here: :func:`repro.build.work_counts` reads them from the totals the
+simulator, links and queues already keep.  See ``docs/performance.md``
+for the counter catalogue and the BENCH schema.
 """
 
 from repro.perf.bench import (
@@ -33,13 +32,6 @@ from repro.perf.bench import (
     run_suite,
     write_bench,
 )
-from repro.perf.probe import (
-    PerfProbe,
-    SpanStats,
-    active_probe,
-    peak_rss_bytes,
-    profiled,
-)
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -48,16 +40,11 @@ __all__ = [
     "BenchCounts",
     "Benchmark",
     "BenchResult",
-    "PerfProbe",
-    "SpanStats",
-    "active_probe",
     "bench_document",
     "benchmark",
     "get_benchmark",
     "load_bench",
     "load_suite",
-    "peak_rss_bytes",
-    "profiled",
     "run_benchmark",
     "run_suite",
     "write_bench",

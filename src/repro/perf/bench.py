@@ -4,11 +4,12 @@ A benchmark is a named, deterministic unit of simulator work: the
 function builds everything it needs from fixed seeds, runs it, and
 returns how much work that was (events processed, packets handled).
 The runner times it (best-of-``repeats`` wall time), derives the
-throughput rates, and snapshots peak RSS; the whole suite serializes to
-a schema-versioned BENCH document committed at the repo root
-(``BENCH_6.json`` since the event-core rearchitecture; ``BENCH_5.json``
-is kept as the heap-era reference point) so every future change can be
-compared against a recorded baseline with ``taq-perf compare``.
+throughput rates, and snapshots the process's peak RSS; the whole
+suite serializes to a schema-versioned BENCH document committed at the
+repo root (``BENCH_6.json`` since the event-core rearchitecture;
+``BENCH_5.json`` is kept as the heap-era reference point) so every
+future change can be compared against a recorded baseline with
+``taq-perf compare``.
 
 A ``scale`` knob multiplies each benchmark's problem size so tests can
 run the full suite in milliseconds (``scale=0.02``) while CI and the
@@ -29,7 +30,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.perf.probe import peak_rss_bytes
+from repro.obs.manifest import peak_rss_bytes
 
 #: Bump when the BENCH document layout changes incompatibly.
 BENCH_SCHEMA_VERSION = 1
@@ -111,6 +112,9 @@ class BenchResult:
     packets: int
     events_per_sec: float
     packets_per_sec: float
+    #: The process's lifetime peak RSS when the benchmark finished, not
+    #: this benchmark's own footprint: monotone across a suite run (run
+    #: one benchmark alone with ``--only NAME`` for its own figure).
     peak_rss_bytes: int
     repeats: int
     scale: float

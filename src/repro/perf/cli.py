@@ -5,14 +5,16 @@ Subcommands::
     taq-perf run [--out BENCH_6.json] [--scale 1.0] [--repeats 1]
                  [--only NAME ...] [--list]
         Run the benchmark suite and write the schema-versioned BENCH
-        document (wall time, events/sec, packets/sec, peak RSS per
-        benchmark).
+        document (per benchmark: wall time, events/sec, packets/sec,
+        and the process's peak RSS so far — ``--only NAME`` for one
+        benchmark's own figure).
 
     taq-perf compare baseline.json candidate.json
                  [--threshold PCT] [--threshold-for NAME=PCT ...]
                  [--markdown]
         Diff two BENCH documents; exit non-zero when any benchmark's
-        wall time regressed beyond its threshold.  ``--markdown``
+        wall time regressed beyond its threshold or, at equal scale,
+        its event/packet counts changed.  ``--markdown``
         renders a GitHub table (CI pipes it to $GITHUB_STEP_SUMMARY).
 
     taq-perf profile (--bench NAME | --scenario FILE.json)
@@ -21,10 +23,10 @@ Subcommands::
         one scenario run: writes ``PREFIX.pstats`` (for ``snakeviz`` /
         ``pstats``), ``PREFIX.folded`` (for ``flamegraph.pl`` /
         speedscope) and prints the top cumulative functions and the
-        armed probe's counter/span roll-up.
+        target's work counts.
 
-See ``docs/performance.md`` for the BENCH schema and the catalogue of
-spans and counters.
+See ``docs/performance.md`` for the BENCH schema and the counter
+catalogue.
 """
 
 from __future__ import annotations
@@ -87,27 +89,40 @@ def _cmd_compare(args) -> int:
     return 0 if comparison.ok else 1
 
 
+#: BENCH ``events``/``packets`` under the counter catalogue's names.
+BENCH_COUNTER_NAMES = (("events", "sim.events_popped"),
+                       ("packets", "net.packets_offered"))
+
+
 def _profile_target(args):
-    """Resolve --bench/--scenario into a zero-argument callable."""
+    """Resolve --bench/--scenario into a zero-argument callable that
+    returns the target's work counts."""
     if args.bench:
         from repro.perf.bench import get_benchmark
 
         bench = get_benchmark(args.bench)
-        return lambda: bench.fn(args.scale)
-    from repro.build import ScenarioSpec, build_simulation
+
+        def run_bench():
+            counts = bench.fn(args.scale)
+            return {name: getattr(counts, field)
+                    for field, name in BENCH_COUNTER_NAMES
+                    if getattr(counts, field)}
+
+        return run_bench
+    from repro.build import ScenarioSpec, build_simulation, work_counts
 
     spec = ScenarioSpec.from_file(args.scenario)
 
     def run_scenario():
         built = build_simulation(spec)
         built.run()
+        return work_counts(built)
 
     return run_scenario
 
 
 def _cmd_profile(args) -> int:
     from repro.perf.flamestack import StackSampler
-    from repro.perf.probe import profiled
 
     try:
         target = _profile_target(args)
@@ -116,10 +131,10 @@ def _cmd_profile(args) -> int:
         return 2
     profiler = cProfile.Profile()
     sampler = StackSampler(interval=args.sample_interval)
-    with profiled() as probe, sampler:
+    with sampler:
         profiler.enable()
         try:
-            target()
+            counts = target()
         finally:
             profiler.disable()
     pstats_path = f"{args.out}.pstats"
@@ -128,7 +143,9 @@ def _cmd_profile(args) -> int:
     sampler.write_collapsed(folded_path)
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(args.top)
-    print(probe.render())
+    print("counters:")
+    for name in sorted(counts):
+        print(f"  {name} = {counts[name]}")
     print(f"wrote {pstats_path} ({stats.total_calls} calls) and "
           f"{folded_path} ({sampler.samples} stack samples)")
     return 0

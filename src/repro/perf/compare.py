@@ -15,11 +15,18 @@ NAME=PCT`` overrides single benchmarks (micro-benchmarks with
 sub-100 ms baselines usually need looser bounds than the long
 scenarios).  Benchmarks present on only one side are reported and do
 not fail the comparison — suites are allowed to grow.
+
+Work counts are gated exactly: every benchmark builds from fixed seeds,
+so a benchmark present on both sides at the same ``scale`` must report
+the same ``events`` and ``packets``.  A difference means the change
+altered what the simulator does, not how fast, and fails the
+comparison whatever the wall times say.  Rows without counts, or at
+different scales (the nightly suite runs at scale 2), are not compared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 #: Default wall-time regression threshold: +50 % (see module docstring).
@@ -41,6 +48,17 @@ class BenchDelta:
     cand_packets_per_sec: float
     threshold_pct: float
     regressed: bool
+    #: Work-count field -> (baseline, candidate), for each that differs.
+    count_changes: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> str:
+        verdicts = []
+        if self.regressed:
+            verdicts.append("REGRESSED")
+        if self.count_changes:
+            verdicts.append("COUNTS CHANGED")
+        return ", ".join(verdicts) or "ok"
 
 
 @dataclass
@@ -56,14 +74,48 @@ class Comparison:
         return [delta for delta in self.deltas if delta.regressed]
 
     @property
+    def count_changes(self) -> List[BenchDelta]:
+        return [delta for delta in self.deltas if delta.count_changes]
+
+    @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.count_changes
+
+    def failure_lines(self) -> List[str]:
+        """One line per failure kind (empty when :attr:`ok`)."""
+        lines = []
+        regressions = self.regressions
+        if regressions:
+            names = ", ".join(delta.name for delta in regressions)
+            lines.append(f"{len(regressions)} regression(s): {names}")
+        changed = self.count_changes
+        if changed:
+            details = "; ".join(
+                f"{delta.name} ("
+                + ", ".join(f"{name} {base} -> {cand}"
+                            for name, (base, cand) in delta.count_changes.items())
+                + ")"
+                for delta in changed
+            )
+            lines.append(f"{len(changed)} work count change(s): {details}")
+        return lines
 
 
 def _relative(base: float, cand: float) -> float:
     if base <= 0:
         return 0.0
     return (cand - base) / base
+
+
+def _count_changes(base: Mapping, cand: Mapping) -> Dict[str, Tuple[int, int]]:
+    """The work counts two rows at the same scale disagree on."""
+    if base.get("scale") != cand.get("scale"):
+        return {}
+    return {
+        name: (base[name], cand[name])
+        for name in ("events", "packets")
+        if name in base and name in cand and base[name] != cand[name]
+    }
 
 
 def compare_documents(
@@ -97,6 +149,7 @@ def compare_documents(
                 cand_packets_per_sec=cand["packets_per_sec"],
                 threshold_pct=limit,
                 regressed=wall_delta * 100.0 > limit,
+                count_changes=_count_changes(base, cand),
             )
         )
     return Comparison(
@@ -121,21 +174,19 @@ def render_comparison(comparison: Comparison) -> str:
         f"{'events/s':>10} {'limit':>7}  verdict"
     ]
     for delta in comparison.deltas:
-        verdict = "REGRESSED" if delta.regressed else "ok"
         lines.append(
             f"{delta.name:<32} {delta.base_wall_s:>8.3f}s {delta.cand_wall_s:>8.3f}s "
             f"{delta.wall_delta * 100.0:>+7.1f}% "
             f"{_rate(delta.cand_events_per_sec):>10} "
-            f"{delta.threshold_pct:>+6.0f}%  {verdict}"
+            f"{delta.threshold_pct:>+6.0f}%  {delta.verdict}"
         )
     for name in comparison.only_in_baseline:
         lines.append(f"{name:<32} only in baseline (skipped)")
     for name in comparison.only_in_candidate:
         lines.append(f"{name:<32} only in candidate (skipped)")
-    regressions = comparison.regressions
-    if regressions:
-        names = ", ".join(delta.name for delta in regressions)
-        lines.append(f"FAIL: {len(regressions)} regression(s): {names}")
+    failures = comparison.failure_lines()
+    if failures:
+        lines.extend(f"FAIL: {line}" for line in failures)
     else:
         lines.append(f"OK: {len(comparison.deltas)} benchmark(s) within thresholds")
     return "\n".join(lines)
@@ -146,16 +197,18 @@ def render_markdown(comparison: Comparison) -> str:
 
     The shape CI writes to ``$GITHUB_STEP_SUMMARY``: one row per
     benchmark with wall times, the relative delta, both sides' rates
-    and the applied threshold; regressed rows are bolded so they jump
-    out of the job summary without opening the log.
+    and the applied threshold; failing rows (regressed or with changed
+    work counts) are bolded so they jump out of the job summary without
+    opening the log.
     """
     lines = [
         "| benchmark | base wall | cand wall | wall Δ | events/s | packets/s | limit | verdict |",
         "|---|---:|---:|---:|---:|---:|---:|---|",
     ]
     for delta in comparison.deltas:
-        verdict = "**REGRESSED**" if delta.regressed else "ok"
-        name = f"**{delta.name}**" if delta.regressed else delta.name
+        failed = delta.verdict != "ok"
+        verdict = f"**{delta.verdict}**" if failed else "ok"
+        name = f"**{delta.name}**" if failed else delta.name
         lines.append(
             f"| {name} "
             f"| {delta.base_wall_s:.3f}s "
@@ -170,13 +223,11 @@ def render_markdown(comparison: Comparison) -> str:
         lines.append(f"| {name} | — | — | — | — | — | — | only in baseline |")
     for name in comparison.only_in_candidate:
         lines.append(f"| {name} | — | — | — | — | — | — | only in candidate |")
-    regressions = comparison.regressions
-    if regressions:
-        names = ", ".join(delta.name for delta in regressions)
-        lines.append("")
-        lines.append(f"❌ **FAIL**: {len(regressions)} regression(s): {names}")
+    failures = comparison.failure_lines()
+    lines.append("")
+    if failures:
+        lines.extend(f"❌ **FAIL**: {line}" for line in failures)
     else:
-        lines.append("")
         lines.append(f"✅ **OK**: {len(comparison.deltas)} benchmark(s) within thresholds")
     return "\n".join(lines)
 

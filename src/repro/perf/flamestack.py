@@ -9,8 +9,8 @@ via ``sys._current_frames()``, and tallies the folded rendering
 ``flamegraph.pl`` and speedscope ingest.
 
 Sampling is *observational*: the profiled code runs unmodified (no
-tracing hooks), so overhead stays low and — like :class:`PerfProbe` —
-the simulated event sequence is untouched.  Stdlib-only by design
+tracing hooks), so overhead stays low and the simulated event
+sequence is untouched.  Stdlib-only by design
 (``threading`` + frame introspection); no external profiler needed.
 """
 

@@ -1,6 +1,6 @@
 """The shipped benchmark suite: 14 deterministic workloads.
 
-Five groups, chosen to cover every layer the probe instruments:
+Five groups, chosen to cover every layer of the packet path:
 
 - ``sim``: the event store alone — schedule/pop churn and cancellation
   churn, the two inner loops every simulated second rides on.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.build.harness import build_queue, build_simulation
+from repro.build.harness import build_queue, build_simulation, work_counts
 from repro.build.spec import (
     BackendSpec,
     MetricsSpec,
@@ -40,7 +40,6 @@ from repro.build.spec import (
 from repro.net.packet import DATA, Packet
 from repro.parallel import ParallelRunner, PointSpec
 from repro.perf.bench import BenchCounts, benchmark
-from repro.perf.probe import active_probe, profiled
 from repro.sim.simulator import Simulator
 
 
@@ -169,16 +168,12 @@ def _small_packet_spec(
 
 
 def _run_scenario(spec: ScenarioSpec) -> BenchCounts:
-    # profiled(active_probe()) keeps an already-ambient probe (e.g. the
-    # one ``taq-perf profile`` armed) instead of shadowing it, so the
-    # packet counts still reach the caller's roll-up.
-    with profiled(active_probe()) as probe:
-        offered_before = probe.packets_enqueued + probe.packets_dropped
-        built = build_simulation(spec)
-        built.run()
+    built = build_simulation(spec)
+    built.run()
+    counts = work_counts(built)
     return BenchCounts(
-        events=built.sim.processed,
-        packets=probe.packets_enqueued + probe.packets_dropped - offered_before,
+        events=counts["sim.events_popped"],
+        packets=counts["net.packets_enqueued"] + counts["net.packets_dropped"],
     )
 
 

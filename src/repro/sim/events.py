@@ -164,7 +164,7 @@ class EventQueue:
         # Cached minimum entry, or None when unknown (recomputed lazily).
         self._head: Optional[_Entry] = None
         #: Optional :class:`repro.sim.observer.Observer`, told of every
-        #: live event popped and every cancelled event removed.
+        #: live event popped.
         self.observer = None
 
     # ------------------------------------------------------------------
@@ -332,8 +332,6 @@ class EventQueue:
         head = self._head
         if head is not None and head[1] == event.seq:
             self._head = None
-        if self.observer is not None:
-            self.observer.on_event_cancel(event)
         if self._live < (self._nslots >> 2) and self._nslots > 1:
             self._resize()
 
@@ -409,6 +407,12 @@ class EventQueue:
     def __len__(self) -> int:
         """Number of live (pending) events.  O(1): tracked incrementally."""
         return self._live
+
+    @property
+    def scheduled(self) -> int:
+        """Events ever pushed; each was since popped, cancelled, or is
+        still pending."""
+        return self._next_seq
 
     def __bool__(self) -> bool:
         return self._live > 0

@@ -13,9 +13,9 @@ code path.
 
 Observers are passive: they never schedule or cancel events, draw
 randomness or mutate the component, so an observed run pops the same
-events in the same order as an unobserved one.  The performance probe,
-the span recorder, telemetry, the invariant monitors, TAQ's reverse
-tap and the goodput collector are all observers.
+events in the same order as an unobserved one.  The span recorder,
+telemetry, the invariant monitors, TAQ's reverse tap and the goodput
+collector are all observers.
 
 Two slots inherit: a :class:`~repro.tcp.sender.TCPSender` starts with
 its simulator's observer and a ``FlowRecord`` with its tracker's, so
@@ -23,8 +23,8 @@ flows spawned mid-run and flows a tracker meets later are watched too.
 
 :func:`observing` pushes an observer onto the *ambient* stack;
 :func:`repro.build.build_simulation` attaches every ambient observer to
-everything it constructs (``profiled()`` and ``recording()`` are thin
-pushes onto this stack).
+everything it constructs (``recording()`` is a thin push onto this
+stack).
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ class Observer:
     def on_event_pop(self, event) -> None:
         """A live event left the queue for dispatch (the clock has not
         advanced to it yet)."""
-
-    def on_event_cancel(self, event) -> None:
-        """A pending event was cancelled and removed."""
 
     # -- Simulator --------------------------------------------------------
     def on_run_start(self, now: float) -> None:

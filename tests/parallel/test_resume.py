@@ -3,7 +3,7 @@
 The integration contract of the service plane: a ``jobs=2`` sweep over
 a durable job store and dir cache is SIGKILLed mid-flight, then
 resumed.  The resumed run must (a) serve every point the killed run
-finished straight from the cache — PerfProbe's hit counter equals the
+finished straight from the cache — the cache's hit counter equals the
 surviving entry count, (b) recompute exactly the cold remainder, and
 (c) produce bit-identical results to an undisturbed run.
 """
@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 
 from repro.parallel import JobStore, ParallelRunner, PointSpec, ResultCache
-from repro.perf.probe import PerfProbe
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -113,19 +112,14 @@ def test_sigkill_then_resume_reruns_only_cold_points(tmp_path):
     assert store.counts()["running"] == 0
     assert store.counts()["done"] < N_POINTS
 
-    # Resume: same sweep, same store, with a probe watching the cache.
-    probe = PerfProbe()
-    runner = ParallelRunner(
-        jobs=2,
-        cache=ResultCache(root=cache_root, version="v1"),
-        store=store,
-        perf=probe,
-    )
+    # Resume: same sweep, same store; the cache counts its hits.
+    cache = ResultCache(root=cache_root, version="v1")
+    runner = ParallelRunner(jobs=2, cache=cache, store=store)
     results = runner.run(sweep_specs())
 
     # Only cold points re-executed.
-    assert probe.cache_hits == warm
-    assert probe.cache_misses == N_POINTS - warm
+    assert cache.hits == warm
+    assert cache.misses == N_POINTS - warm
     assert store.counts()["done"] == N_POINTS
 
     # Bit-identical to an undisturbed sequential run.

@@ -111,27 +111,14 @@ class TestLookupTime:
         assert all(r.lookup_time != r.wall_time for r in warm)
 
 
-class TestPerfProbe:
-    def test_counts_hits_and_misses_and_spans_points(self, tmp_path):
-        from repro.perf import PerfProbe
-
+class TestCacheCounters:
+    def test_counts_hits_and_misses(self, tmp_path):
         cache = ResultCache(root=str(tmp_path), version="v1")
-        probe = PerfProbe()
-        runner = ParallelRunner(jobs=1, cache=cache, perf=probe)
+        runner = ParallelRunner(jobs=1, cache=cache)
         runner.run(square_specs([2, 5]))
-        assert (probe.cache_hits, probe.cache_misses) == (0, 2)
-        assert probe.spans["parallel.point"].calls == 2
+        assert (cache.hits, cache.misses) == (0, 2)
         runner.run(square_specs([2, 5]))
-        assert (probe.cache_hits, probe.cache_misses) == (2, 2)
-        assert probe.spans["parallel.point"].calls == 2  # hits skip execution
-
-    def test_no_cache_means_no_miss_counting(self):
-        from repro.perf import PerfProbe
-
-        probe = PerfProbe()
-        ParallelRunner(jobs=1, perf=probe).run(square_specs([2]))
-        assert (probe.cache_hits, probe.cache_misses) == (0, 0)
-        assert probe.spans["parallel.point"].calls == 1
+        assert (cache.hits, cache.misses) == (2, 2)
 
 
 class TestProgressPrinterSummary:

@@ -111,6 +111,31 @@ def test_render_markdown_table_and_verdicts():
     assert "REGRESSED" not in ok_text
 
 
+def test_work_count_change_at_equal_scale_fails():
+    def counted(rows):
+        document = _document({name: 1.0 for name in rows})
+        for name, (events, packets, scale) in rows.items():
+            document["benchmarks"][name].update(
+                events=events, packets=packets, scale=scale)
+        return document
+
+    baseline = counted({"same": (100, 50, 1.0), "drift": (100, 50, 1.0),
+                        "scaled": (100, 50, 1.0)})
+    candidate = counted({"same": (100, 50, 1.0), "drift": (100, 51, 1.0),
+                         "scaled": (200, 100, 2.0)})
+    comparison = compare_documents(baseline, candidate)
+    assert not comparison.ok
+    assert not comparison.regressions
+    assert [d.name for d in comparison.count_changes] == ["drift"]
+    assert comparison.count_changes[0].count_changes == {"packets": (50, 51)}
+    text = render_comparison(comparison)
+    assert "COUNTS CHANGED" in text
+    assert "FAIL: 1 work count change(s): drift (packets 50 -> 51)" in text
+    assert "**COUNTS CHANGED**" in render_markdown(comparison)
+    # A row without counts is not compared.
+    assert compare_documents(_document({"drift": 1.0}), candidate).ok
+
+
 def test_parse_threshold_overrides():
     assert parse_threshold_overrides(["a=10", "b=2.5"]) == {"a": 10.0, "b": 2.5}
     with pytest.raises(ValueError, match="NAME=PCT"):
